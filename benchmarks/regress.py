@@ -591,6 +591,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             "workers": args.workers,
             "seed": args.seed,
             "python": sys.version.split()[0],
+            "cpu_count": os.cpu_count(),
         },
     }
     report.update(

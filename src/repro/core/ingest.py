@@ -278,8 +278,9 @@ class Ingestor:
                         )
                         new_records.append(record)
 
-            # DB committed; now mirror into store + index
-            with self._stage("mirror"):
+            # DB committed; now mirror into store + index, atomically for
+            # searches (see FeatureStore.lock)
+            with self._stage("mirror"), self.store.lock:
                 for record in new_records:
                     self.store.add(record)
                     self.index.insert_bucket(record.frame_id, record.bucket)
@@ -363,10 +364,13 @@ class Ingestor:
         with self.db.transaction():
             self.db.execute("DELETE FROM KEY_FRAMES WHERE V_ID = ?", (video_id,))
             self.db.execute("DELETE FROM VIDEO_STORE WHERE V_ID = ?", (video_id,))
-        frame_ids = self.store.remove_video(video_id)
-        for fid in frame_ids:
-            if fid in self.index:
-                self.index.remove(fid)
+        with self.store.lock:
+            # index first: a search never sees a candidate the store lacks
+            frame_ids = [r.frame_id for r in self.store.frames_of_video(video_id)]
+            for fid in frame_ids:
+                if fid in self.index:
+                    self.index.remove(fid)
+            self.store.remove_video(video_id)
         if self._snapshots is not None:
             self._snapshots.record_delete(video_id)
         self._m_deletes.inc()
@@ -382,7 +386,8 @@ class Ingestor:
         ).rowcount
         if count == 0:
             raise DatabaseError(f"no video with id {video_id}")
-        self.store.rename_video(video_id, new_name)
+        with self.store.lock:
+            self.store.rename_video(video_id, new_name)
         if self._snapshots is not None:
             self._snapshots.record_rename(video_id, new_name)
         self._m_renames.inc()

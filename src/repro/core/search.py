@@ -17,7 +17,7 @@ import copy
 import time
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -155,6 +155,12 @@ class _QueryPlan:
     full_store: bool = False
     records: Optional[List[FrameRecord]] = None
     rows: Optional[np.ndarray] = None
+    #: per-feature stacks taken under the store lock: the prepared full
+    #: stack (gathered by ``rows`` at scoring) or the reference path's
+    #: candidate matrix
+    stacks: Optional[Dict[str, np.ndarray]] = None
+    #: the store's record mapping as of the plan (ranking reads it)
+    frames: Optional[Mapping[int, FrameRecord]] = None
     distance_ms: Optional[Dict[str, float]] = None
     # sharded scoring state (ShardedSearchEngine only)
     candidate_arr: Optional[np.ndarray] = None
@@ -391,30 +397,15 @@ class SearchEngine:
     def _query_frame(
         self, image: Image, names: List[str], top_k: int, use_index: bool
     ) -> SearchResults:
-        self._policies.check_stage("search.prune")
-        if use_index:
-            with self._obs.span("search.index.prune"):
-                candidate_ids: Optional[List[int]] = sorted(
-                    self.index.candidates(image)
-                )
-            n_total = len(self.store)
-            if n_total:
-                self._m_pruning.observe(1.0 - len(candidate_ids) / n_total)
-        else:
-            candidate_ids = None  # the whole store (or the ANN probe below)
         self._policies.check_stage("search.extract")
         with self._obs.span("search.extract"):
             query_vectors, degraded = self._extract_degradable(image, names)
-        ann_probed: Optional[bool] = None
-        if self.ann is not None and candidate_ids is not None:
-            # compose with the range index: a frame must survive both
-            with self._obs.span("search.ann.probe"):
-                ann_ids = self._ann_probe(query_vectors)
-            ann_probed = ann_ids is not None
-            if ann_ids is not None:
-                wanted = set(ann_ids)
-                candidate_ids = [fid for fid in candidate_ids if fid in wanted]
-        results = self._vectors_entry(query_vectors, top_k, candidate_ids, None)
+        with self.store.lock:
+            candidate_ids, ann_probed = self._frame_candidates(
+                image, query_vectors, use_index, None
+            )
+            entry = self._prepare_vectors_entry(query_vectors, top_k, candidate_ids, None)
+        results = self._finish_entry(entry)
         if degraded:
             results.degraded = True
             results.degraded_features = degraded
@@ -430,6 +421,36 @@ class SearchEngine:
             if degraded:
                 explain["degraded_features"] = list(degraded)
         return results
+
+    def _frame_candidates(
+        self,
+        image: Image,
+        query_vectors: Dict[str, FeatureVector],
+        use_index: bool,
+        nprobe: Optional[int],
+    ) -> tuple:
+        """``(candidate_ids, ann_probed)`` for a frame query.
+
+        Callers hold the store lock from here until the plan is made, so
+        the candidates and the stacks they index agree.
+        """
+        self._policies.check_stage("search.prune")
+        if not use_index:
+            return None, None  # the whole store (or the plan's ANN probe)
+        with self._obs.span("search.index.prune"):
+            candidate_ids = sorted(self.index.candidates(image))
+        n_total = len(self.store)
+        if n_total:
+            self._m_pruning.observe(1.0 - len(candidate_ids) / n_total)
+        if self.ann is None:
+            return candidate_ids, None
+        # compose with the range index: a frame must survive both
+        with self._obs.span("search.ann.probe"):
+            ann_ids = self._ann_probe(query_vectors, nprobe)
+        if ann_ids is None:
+            return candidate_ids, False
+        wanted = set(ann_ids)
+        return [fid for fid in candidate_ids if fid in wanted], True
 
     def _extract_degradable(
         self, image: Image, names: List[str]
@@ -527,7 +548,9 @@ class SearchEngine:
         with self._policies.request_scope(), self._obs.span(
             "search.query_vectors", top_k=top_k
         ) as span:
-            results = self._vectors_entry(query_vectors, top_k, candidate_ids, weights)
+            results = self._finish_entry(
+                self._prepare_vectors_entry(query_vectors, top_k, candidate_ids, weights)
+            )
             span.annotate(candidates=results.n_candidates)
         self._record_query("vectors", t0, results.n_candidates, results, span)
         return results
@@ -560,55 +583,11 @@ class SearchEngine:
             key = key + (("nprobe", int(nprobe)),)
         return key
 
-    def _vectors_entry(
-        self,
-        query_vectors: Dict[str, FeatureVector],
-        top_k: int,
-        candidate_ids: Optional[Sequence[int]],
-        weights: Optional[Dict[str, float]],
-        nprobe: Optional[int] = None,
-    ) -> SearchResults:
-        """Validation + cache wrapping shared by frame and vector queries."""
-        names = [n for n in query_vectors if n in self.extractors]
-        if not names:
-            raise ValueError("query_vectors holds no configured features")
-        # armed faults bypass the cache: a cached answer could outlive
-        # (or hide) the chaos run
-        if not self._query_cache.enabled or self._policies.faults.armed:
-            results = self._query_with_vectors(
-                query_vectors, names, top_k, candidate_ids, weights, nprobe
-            )
-            if results.explain is not None:
-                results.explain["cache"] = (
-                    "bypass" if self._policies.faults.armed else "off"
-                )
-            return results
-        key = self._vectors_key(
-            query_vectors, names, top_k, candidate_ids, weights, nprobe
-        )
-        return self._cached_results(
-            key,
-            lambda: self._query_with_vectors(
-                query_vectors, names, top_k, candidate_ids, weights, nprobe
-            ),
-        )
-
-    def _query_with_vectors(
-        self,
-        query_vectors: Dict[str, FeatureVector],
-        names: List[str],
-        top_k: int,
-        candidate_ids: Optional[Sequence[int]],
-        weights: Optional[Dict[str, float]],
-        nprobe: Optional[int] = None,
-    ) -> SearchResults:
-        plan = self._plan_vectors(
-            query_vectors, names, top_k, candidate_ids, weights, nprobe
-        )
-        if plan.empty is not None:
-            return plan.empty
-        per_feature = self._score_plan(plan)
-        return self._rank_plan(plan, per_feature)
+    def _finish_entry(self, entry: _BatchEntry) -> SearchResults:
+        """Score and rank a prepared entry (outside the store lock)."""
+        if entry.results is not None:
+            return entry.results
+        return self._finish_batch_request(entry, self._score_plan(entry.plan))
 
     def _plan_vectors(
         self,
@@ -619,54 +598,72 @@ class SearchEngine:
         weights: Optional[Dict[str, float]],
         nprobe: Optional[int] = None,
     ) -> _QueryPlan:
-        """Resolve candidates + scoring flags into a :class:`_QueryPlan`."""
+        """Resolve candidates + scoring flags into a :class:`_QueryPlan`.
+
+        Every store read a query makes happens here, under the store lock:
+        the plan carries the rows, stacks and records that scoring and
+        ranking use afterwards, so a concurrent add or delete cannot skew
+        them.
+        """
         self._policies.check_stage("search.score")
-        full_store = False
-        ann_probed = False
-        if candidate_ids is None:
-            if self.ann is not None:
-                candidate_ids = self._ann_probe(query_vectors, nprobe)
-                ann_probed = candidate_ids is not None
+        with self.store.lock:
+            full_store = False
+            ann_probed = False
             if candidate_ids is None:
-                candidate_ids = self.store.frame_ids()
-                full_store = True
-        else:
-            candidate_ids = list(candidate_ids)
-        n_total = len(self.store)
-        explain: Dict[str, object] = {
-            "kind": "vectors",
-            "features": list(names),
-            "top_k": int(top_k),
-            "n_total": n_total,
-            "n_candidates": len(candidate_ids),
-            "ann": {"enabled": self.ann is not None, "probed": ann_probed},
-        }
-        plan = _QueryPlan(
-            query_vectors=query_vectors,
-            names=list(names),
-            top_k=int(top_k),
-            weights=weights,
-            n_total=n_total,
-            explain=explain,
-            candidate_ids=candidate_ids,
-            full_store=full_store,
-        )
-        if not candidate_ids:
-            plan.empty = SearchResults(
-                [], n_candidates=0, n_total=n_total, explain=explain
+                if self.ann is not None:
+                    candidate_ids = self._ann_probe(query_vectors, nprobe)
+                    ann_probed = candidate_ids is not None
+                if candidate_ids is None:
+                    candidate_ids = self.store.frame_ids()
+                    full_store = True
+            else:
+                candidate_ids = list(candidate_ids)
+            n_total = len(self.store)
+            explain: Dict[str, object] = {
+                "kind": "vectors",
+                "features": list(names),
+                "top_k": int(top_k),
+                "n_total": n_total,
+                "n_candidates": len(candidate_ids),
+                "ann": {"enabled": self.ann is not None, "probed": ann_probed},
+            }
+            plan = _QueryPlan(
+                query_vectors=query_vectors,
+                names=list(names),
+                top_k=int(top_k),
+                weights=weights,
+                n_total=n_total,
+                explain=explain,
+                candidate_ids=candidate_ids,
+                full_store=full_store,
             )
-            return plan
-        plan.batched = self.config.batch_distances
-        plan.fast = accel.fast_paths_enabled()
-        if not plan.batched or not plan.fast:
+            if not candidate_ids:
+                plan.empty = SearchResults(
+                    [], n_candidates=0, n_total=n_total, explain=explain
+                )
+                return plan
+            plan.batched = self.config.batch_distances
+            plan.fast = accel.fast_paths_enabled()
+            plan.frames = self.store.records()
+            if plan.batched and plan.fast:
+                # one binary search maps candidate ids to stack rows for every
+                # feature (preparation commutes with row gathers)
+                if not full_store:
+                    plan.rows = self.store.matrix_rows(candidate_ids)
+                plan.stacks = {name: self._prepared_matrix(name) for name in names}
+                return plan
             # the scalar path needs the records; the reference batched path
             # materializes them too, replicating the pre-acceleration code
             plan.records = [self.store.get(fid) for fid in candidate_ids]
-        elif not full_store:
-            # one binary search maps candidate ids to stack rows for every
-            # feature (preparation commutes with row gathers)
-            plan.rows = self.store.matrix_rows(candidate_ids)
-        return plan
+            if plan.batched:
+                # reference batched path: raw stack + per-call preprocessing
+                plan.stacks = {
+                    name: self.store.feature_matrix(
+                        name, None if full_store else candidate_ids
+                    )
+                    for name in names
+                }
+            return plan
 
     def _score_plan(self, plan: _QueryPlan) -> Dict[str, np.ndarray]:
         """Raw per-feature distances over the plan's candidate set.
@@ -685,16 +682,12 @@ class SearchEngine:
             if prepared_scoring:
                 # the id-sorted prepared stack is cached per generation;
                 # only subsets pay a gather
-                prepared = self._prepared_matrix(name)
+                prepared = plan.stacks[name]
                 if plan.rows is not None:
                     prepared = prepared[plan.rows]
                 per_feature[name] = extractor.batch_distance_prepared(qv, prepared)
             elif plan.batched:
-                # reference batched path: raw stack + per-call preprocessing
-                matrix = self.store.feature_matrix(
-                    name, None if plan.full_store else plan.candidate_ids
-                )
-                per_feature[name] = extractor.batch_distance(qv, matrix)
+                per_feature[name] = extractor.batch_distance(qv, plan.stacks[name])
             else:
                 per_feature[name] = np.array(
                     [
@@ -755,7 +748,7 @@ class SearchEngine:
             record = (
                 plan.records[i]
                 if plan.records is not None
-                else self.store.get(plan.candidate_ids[i])
+                else plan.frames[plan.candidate_ids[i]]
             )
             hits.append(
                 RetrievalResult(
@@ -872,31 +865,16 @@ class SearchEngine:
             cached = self._query_cache.get(frame_key, generation)
             if cached is not None:
                 return _BatchEntry(results=self._copy_results(cached, "hit"))
-        self._policies.check_stage("search.prune")
-        if use_index:
-            with self._obs.span("search.index.prune"):
-                candidate_ids: Optional[List[int]] = sorted(
-                    self.index.candidates(req.image)
-                )
-            n_total = len(self.store)
-            if n_total:
-                self._m_pruning.observe(1.0 - len(candidate_ids) / n_total)
-        else:
-            candidate_ids = None
         self._policies.check_stage("search.extract")
         with self._obs.span("search.extract"):
             query_vectors, degraded = self._extract_degradable(req.image, names)
-        ann_probed: Optional[bool] = None
-        if self.ann is not None and candidate_ids is not None:
-            with self._obs.span("search.ann.probe"):
-                ann_ids = self._ann_probe(query_vectors, req.nprobe)
-            ann_probed = ann_ids is not None
-            if ann_ids is not None:
-                wanted = set(ann_ids)
-                candidate_ids = [fid for fid in candidate_ids if fid in wanted]
-        entry = self._prepare_vectors_entry(
-            query_vectors, req.top_k, candidate_ids, None, req.nprobe
-        )
+        with self.store.lock:
+            candidate_ids, ann_probed = self._frame_candidates(
+                req.image, query_vectors, use_index, req.nprobe
+            )
+            entry = self._prepare_vectors_entry(
+                query_vectors, req.top_k, candidate_ids, None, req.nprobe
+            )
         frame_state: Dict[str, object] = {
             "key": frame_key,
             "generation": generation,
@@ -925,7 +903,7 @@ class SearchEngine:
         weights: Optional[Dict[str, float]],
         nprobe: Optional[int] = None,
     ) -> _BatchEntry:
-        """Deferred-scoring twin of :meth:`_vectors_entry`."""
+        """Validation, cache lookup and plan of a vector query (scored later)."""
         names = [n for n in query_vectors if n in self.extractors]
         if not names:
             raise ValueError("query_vectors holds no configured features")
@@ -1052,30 +1030,36 @@ class SearchEngine:
         query_seq = self._pool.map(extract, key_frames)
         self._policies.check_stage("search.score")
 
-        video_ids = self.store.video_ids()
-        if not video_ids:
-            return []
-
         # Pairwise per-feature distances between the query sequence and the
         # *entire* stored frame population, so min-max normalization is
         # global: a video whose frames are all far from the query must keep
-        # a large cost, not normalize down to zero.
+        # a large cost, not normalize down to zero.  The population and its
+        # matrices are read in one store-lock hold.
         all_records: List[FrameRecord] = []
         spans: Dict[int, slice] = {}
-        for video_id in video_ids:
-            records = self.store.frames_of_video(video_id)
-            spans[video_id] = slice(len(all_records), len(all_records) + len(records))
-            all_records.extend(records)
+        with self.store.lock:
+            video_ids = self.store.video_ids()
+            if not video_ids:
+                return []
+            for video_id in video_ids:
+                records = self.store.frames_of_video(video_id)
+                spans[video_id] = slice(len(all_records), len(all_records) + len(records))
+                all_records.extend(records)
+            record_ids = [rec.frame_id for rec in all_records]
+            matrices = (
+                {name: self.store.feature_matrix(name, record_ids) for name in names}
+                if self.config.batch_distances
+                else {}
+            )
 
         nq, nr = len(query_seq), len(all_records)
-        record_ids = [rec.frame_id for rec in all_records]
         combined = np.zeros((nq, nr))
         total_weight = 0.0
         for name in names:
             extractor = self.extractors[name]
             m = np.empty((nq, nr))
             if self.config.batch_distances:
-                matrix = self.store.feature_matrix(name, record_ids)
+                matrix = matrices[name]
                 for i, qf in enumerate(query_seq):
                     m[i, :] = extractor.batch_distance(qf[name], matrix)
             else:

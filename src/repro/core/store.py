@@ -8,6 +8,7 @@ and the DB together, and on open it is rebuilt from the table.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -46,9 +47,17 @@ class FeatureStore:
     changes (the ANN index and the internal matrix/id caches sync on it).
     Bumping a counter is O(1), so bulk ingest pays one lazy cache rebuild
     at the next query instead of one invalidation per insert.
+
+    :attr:`lock` makes multi-step changes atomic for readers: ingest holds
+    it while it mirrors a video into the store and the range index (or
+    removes one), and a search holds it from its candidate lookup until
+    its plan has taken the stacks and :meth:`records` it scores and ranks
+    against.  Removals replace the record mapping instead of editing it,
+    so a plan's mapping keeps every record its candidates name.
     """
 
     def __init__(self):
+        self.lock = threading.RLock()
         self._frames: Dict[int, FrameRecord] = {}
         self._by_video: Dict[int, List[int]] = {}
         # clip-level motion descriptors (extension; see repro.video.motion)
@@ -85,11 +94,12 @@ class FeatureStore:
 
     def _sync_caches(self) -> None:
         if self._cache_generation != self._structure_generation:
-            self._matrix_cache.clear()
-            self._prepared_cache.clear()
-            self._ids_cache = tuple(sorted(self._frames))
-            self._ids_arr = np.asarray(self._ids_cache, dtype=np.int64)
-            self._cache_generation = self._structure_generation
+            with self.lock:
+                self._matrix_cache.clear()
+                self._prepared_cache.clear()
+                self._ids_cache = tuple(sorted(self._frames))
+                self._ids_arr = np.asarray(self._ids_cache, dtype=np.int64)
+                self._cache_generation = self._structure_generation
 
     # -- container protocol --------------------------------------------------
 
@@ -101,6 +111,10 @@ class FeatureStore:
 
     def get(self, frame_id: int) -> FrameRecord:
         return self._frames[frame_id]
+
+    def records(self) -> Mapping[int, FrameRecord]:
+        """The live frame_id -> record mapping (read it, never write it)."""
+        return self._frames
 
     def frame_ids(self) -> List[int]:
         self._sync_caches()
@@ -125,10 +139,10 @@ class FeatureStore:
     def remove_video(self, video_id: int) -> List[int]:
         """Drop every frame of a video; returns the removed frame ids."""
         frame_ids = self._by_video.pop(video_id, [])
-        for fid in frame_ids:
-            del self._frames[fid]
         self._video_motion.pop(video_id, None)
         if frame_ids:
+            gone = set(frame_ids)
+            self._frames = {k: v for k, v in self._frames.items() if k not in gone}
             self._mutated(structural=True)
         return frame_ids
 
@@ -146,7 +160,7 @@ class FeatureStore:
         return len(frame_ids)
 
     def clear(self) -> None:
-        self._frames.clear()
+        self._frames = {}
         self._by_video.clear()
         self._video_motion.clear()
         self._matrix_cache.clear()

@@ -14,10 +14,10 @@ import numpy as np
 from repro.imaging import accel
 from repro.imaging.image import Image
 
-__all__ = ["resize", "resize_array"]
+__all__ = ["nearest_indices", "resize", "resize_array"]
 
 
-def _nearest_indices(src: int, dst: int) -> np.ndarray:
+def nearest_indices(src: int, dst: int) -> np.ndarray:
     """Source indices chosen by nearest-neighbour for a dst-length axis."""
     # Sample at pixel centers: position (i + 0.5) * src/dst maps to floor().
     return np.minimum((np.arange(dst) + 0.5) * (src / dst), src - 1).astype(np.int64)
@@ -36,8 +36,8 @@ def resize_array(
         return arr.copy()
 
     if interpolation == "nearest":
-        rows = _nearest_indices(src_h, height)
-        cols = _nearest_indices(src_w, width)
+        rows = nearest_indices(src_h, height)
+        cols = nearest_indices(src_w, width)
         if accel.fast_paths_enabled():
             return arr.take(rows, axis=0).take(cols, axis=1)
         return arr[np.ix_(rows, cols)] if arr.ndim == 2 else arr[rows][:, cols]

@@ -35,7 +35,14 @@ from repro.resilience import Deadline
 from repro.serving.admission import AdmissionController, OverloadedError
 from repro.serving.batcher import MicroBatcher
 from repro.sharding import maybe_attach_sharded
-from repro.web.api import CbvrApi, error_response_for, parse_search_request, search_payload
+from repro.web.api import (
+    ApiError,
+    CbvrApi,
+    error_response_for,
+    parse_content_length,
+    parse_search_request,
+    search_payload,
+)
 
 __all__ = ["AsyncCbvrServer", "make_async_server"]
 
@@ -175,7 +182,15 @@ class AsyncCbvrServer:
             self._clients.add(task)
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except ApiError as exc:
+                    # the body's framing is unknown: answer, then close
+                    (status, content_type, payload), extra = error_response_for(exc)
+                    await self._write_response(
+                        writer, (status, content_type, payload, extra), False
+                    )
+                    break
                 if request is None:
                     break
                 method, target, headers, body = request
@@ -224,8 +239,8 @@ class AsyncCbvrServer:
                 continue
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or 0)
-        if length < 0 or length > _MAX_BODY:
+        length = parse_content_length(headers.get("content-length"))
+        if length > _MAX_BODY:
             return None
         body = await reader.readexactly(length) if length else b""
         return method, target, headers, body

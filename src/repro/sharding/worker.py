@@ -244,7 +244,7 @@ def score_vectors_shard(
 ) -> ShardReply:
     """Raw per-feature distances for this shard's slice of the candidates.
 
-    Mirrors ``SearchEngine._query_with_vectors`` branch for branch (the
+    Mirrors ``SearchEngine._score_plan`` branch for branch (the
     ``batched``/``fast`` flags are computed coordinator-side and passed
     in, so both processes pick the same kernel): prepared-stack scoring,
     the reference batched path, or the scalar per-record loop.

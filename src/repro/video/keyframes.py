@@ -23,17 +23,18 @@ change scores in the thousands).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.imaging.image import Image
-from repro.imaging.resize import resize_array
+from repro.imaging.resize import nearest_indices
 
 __all__ = [
     "KeyFrameExtractor",
     "extract_key_frames",
     "frame_signature",
+    "frame_signatures",
     "frame_signature_distance",
 ]
 
@@ -45,32 +46,87 @@ BASE_SIZE = 300
 GRID = 5
 #: §4.6: "Let sampleSize = 15" -- half-width of the averaging window.
 SAMPLE_SIZE = 15
+#: float64 values per stacked chunk (512 KiB, about one 150x150 rescale):
+#: bounds the temporary a long or large upload allocates
+CHUNK_VALUES = 1 << 16
 
 
-def frame_signature(image: Image, base_size: int = BASE_SIZE, grid: int = GRID, sample_size: int = SAMPLE_SIZE) -> np.ndarray:
-    """25-point mean-color signature of a frame (the §4.6 descriptor).
+def _window_weights(src: int, base_size: int, grid: int, sample_size: int):
+    """One axis of the windowed rescale: ``(used, weights, lengths)``.
 
-    The frame is rescaled to ``base_size`` square with nearest-neighbour
-    interpolation, then for each of ``grid x grid`` locations the mean RGB of
-    the surrounding ``2*sample_size`` window is taken.
-
-    Returns a float64 array of shape ``(grid*grid, 3)``.
+    Window ``g`` covers rescaled positions ``[lo, hi)`` of length
+    ``lengths[g]``.  The nearest-neighbour rescale reads source index
+    ``picks[p]`` at position ``p``, so a window's sum weights each source
+    index by how often it is picked.  ``used`` lists the source indices some
+    window picks (at most ``base_size`` of them) and ``weights[g]`` holds
+    their counts, shape ``(grid, len(used))``.
     """
-    rgb = image.to_rgb()
-    scaled = resize_array(rgb.pixels, base_size, base_size, "nearest").astype(np.float64)
-    sig = np.empty((grid * grid, 3))
-    k = 0
-    for gy in range(grid):
-        py = (gy + 0.5) / grid
-        y0 = max(0, int(py * base_size) - sample_size)
-        y1 = min(base_size, int(py * base_size) + sample_size)
-        for gx in range(grid):
-            px = (gx + 0.5) / grid
-            x0 = max(0, int(px * base_size) - sample_size)
-            x1 = min(base_size, int(px * base_size) + sample_size)
-            sig[k] = scaled[y0:y1, x0:x1].reshape(-1, 3).mean(axis=0)
-            k += 1
-    return sig
+    picks = nearest_indices(src, base_size)
+    weights = np.zeros((grid, src))
+    lengths = np.zeros(grid)
+    for g in range(grid):
+        centre = int((g + 0.5) / grid * base_size)
+        lo, hi = max(0, centre - sample_size), min(base_size, centre + sample_size)
+        weights[g] = np.bincount(picks[lo:hi], minlength=src)
+        lengths[g] = hi - lo
+    used = np.flatnonzero(weights.any(axis=0))
+    return used, weights[:, used], lengths
+
+
+def frame_signatures(
+    frames: Sequence[Image],
+    base_size: int = BASE_SIZE,
+    grid: int = GRID,
+    sample_size: int = SAMPLE_SIZE,
+) -> np.ndarray:
+    """25-point mean-color signatures (the §4.6 descriptor) of many frames.
+
+    Each frame is rescaled to ``base_size`` square with nearest-neighbour
+    interpolation, then for each of ``grid x grid`` locations the mean RGB
+    of the surrounding ``2*sample_size`` window is taken.  The rescale is
+    never materialized: a window's sum is two weighted contractions of the
+    picked source pixels (see ``_window_weights``).  The sums are integers
+    below 2**53, so they are exact in float64 in any order, and the means
+    equal those of the rescaled image to the bit.
+
+    Frames are grouped by shape and stacked at most ``CHUNK_VALUES`` float64
+    values at a time.  Returns shape ``(len(frames), grid*grid, 3)``.
+    """
+    out = np.empty((len(frames), grid * grid, 3))
+    groups: Dict[tuple, List[int]] = {}
+    for i, frame in enumerate(frames):
+        groups.setdefault(frame.shape, []).append(i)
+    for shape, members in groups.items():
+        channels = shape[2] if len(shape) == 3 else 1
+        rows, wy, ny = _window_weights(shape[0], base_size, grid, sample_size)
+        cols, wx, nx = _window_weights(shape[1], base_size, grid, sample_size)
+        every = rows.size == shape[0] and cols.size == shape[1]
+        counts = np.outer(ny, nx).reshape(1, grid * grid, 1)
+        step = max(1, CHUNK_VALUES // max(1, rows.size * cols.size * channels))
+        buf = np.empty((min(step, len(members)), rows.size, cols.size * channels))
+        for start in range(0, len(members), step):
+            part = members[start : start + step]
+            stack = buf[: len(part)]
+            for k, i in enumerate(part):
+                pixels = frames[i].pixels
+                if not every:
+                    pixels = pixels.take(rows, axis=0).take(cols, axis=1)
+                stack[k] = pixels.reshape(rows.size, -1)
+            sums = (wy @ stack).reshape(len(part), grid, cols.size, channels)
+            sums = np.swapaxes(np.swapaxes(sums, 2, 3) @ wx.T, 2, 3)
+            # (k, gy, gx, c); a gray frame's RGB view repeats its one channel
+            out[part] = sums.reshape(len(part), grid * grid, channels) / counts
+    return out
+
+
+def frame_signature(
+    image: Image,
+    base_size: int = BASE_SIZE,
+    grid: int = GRID,
+    sample_size: int = SAMPLE_SIZE,
+) -> np.ndarray:
+    """One frame's signature, ``frame_signatures([image])[0]``: shape ``(grid*grid, 3)``."""
+    return frame_signatures([image], base_size, grid, sample_size)[0]
 
 
 def frame_signature_distance(a: Image, b: Image, **kwargs) -> float:
@@ -101,8 +157,11 @@ class KeyFrameExtractor:
             raise ValueError("grid must be >= 1 and base_size >= grid")
 
     def signature(self, frame: Image) -> np.ndarray:
+        return self.signatures([frame])[0]
+
+    def signatures(self, frames: Sequence[Image]) -> np.ndarray:
         sample = min(self.sample_size, max(1, self.base_size // (2 * self.grid)))
-        return frame_signature(frame, self.base_size, self.grid, sample)
+        return frame_signatures(frames, self.base_size, self.grid, sample)
 
     def extract(self, frames: Sequence[Image]) -> List[Tuple[int, Image]]:
         """Run the greedy similar-run collapse; returns ``(index, frame)`` pairs.
@@ -113,7 +172,7 @@ class KeyFrameExtractor:
         """
         if not frames:
             return []
-        signatures = [self.signature(f) for f in frames]
+        signatures = self.signatures(frames)
         kept: List[Tuple[int, Image]] = []
         i = 0
         n = len(frames)

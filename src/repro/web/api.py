@@ -25,6 +25,7 @@ __all__ = [
     "CbvrApi",
     "ApiError",
     "error_response_for",
+    "parse_content_length",
     "parse_search_request",
     "search_payload",
 ]
@@ -116,6 +117,22 @@ def error_response_for(  # reprolint: disable=R17
     if isinstance(exc, (DatabaseError, RvfError, ImageFormatError, ValueError, KeyError)):
         return _error_response(400, str(exc), "bad_request"), {}
     return None
+
+
+def parse_content_length(value: Optional[str]) -> int:
+    """The body length a ``Content-Length`` header declares (0 when absent).
+
+    Shared by the blocking and asyncio front-ends.  Anything but a plain
+    non-negative decimal raises :class:`ApiError` (400), so the client is
+    answered rather than dropped.
+    """
+    text = (value or "").strip()
+    if not text:
+        return 0
+    # 19 digits keep int() clear of its digit limit; any real cap is smaller
+    if not (text.isascii() and text.isdigit()) or len(text) > 19:
+        raise ApiError(400, "malformed Content-Length header")
+    return int(text)
 
 
 def parse_search_request(body: bytes, query: Dict[str, str]):

@@ -18,7 +18,7 @@ from typing import Tuple
 from repro.core.system import VideoRetrievalSystem
 from repro.obs import log
 from repro.sharding import maybe_attach_sharded
-from repro.web.api import CbvrApi
+from repro.web.api import ApiError, CbvrApi, error_response_for, parse_content_length
 
 __all__ = ["CbvrHttpServer", "make_server"]
 
@@ -37,11 +37,22 @@ class _Handler(BaseHTTPRequestHandler):
     def _dispatch(self, method: str) -> None:
         parsed = urllib.parse.urlsplit(self.path)
         query = dict(urllib.parse.parse_qsl(parsed.query))
-        length = int(self.headers.get("Content-Length", 0) or 0)
+        try:
+            length = parse_content_length(self.headers.get("Content-Length"))
+        except ApiError as exc:
+            # the body's framing is unknown: answer, then close
+            (status, content_type, payload), _extra = error_response_for(exc)
+            self.close_connection = True
+            self._reply(status, content_type, payload, {"Connection": "close"})
+            return
         body = self.rfile.read(length) if length else b""
-        status, content_type, payload, extra_headers = self.api.handle_full(
-            method, parsed.path, body=body, headers=dict(self.headers), query=query
+        self._reply(
+            *self.api.handle_full(
+                method, parsed.path, body=body, headers=dict(self.headers), query=query
+            )
         )
+
+    def _reply(self, status, content_type, payload, extra_headers) -> None:
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(payload)))

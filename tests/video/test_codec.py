@@ -14,8 +14,10 @@ from repro.video.codec import (
     read_rvf,
     rle_decode,
     rle_encode,
+    rle_encoded_size,
     write_rvf,
 )
+from tests.video import oracles
 
 
 def _frames(seed, n, h=12, w=16, gray=False):
@@ -54,6 +56,42 @@ class TestRle:
     @given(st.binary(min_size=0, max_size=2000))
     def test_roundtrip_property(self, data):
         assert rle_decode(rle_encode(data), len(data)) == data
+
+
+def _runs_of(runs):
+    """Bytes built from (value, length) runs: long runs are the point."""
+    return b"".join(bytes([value]) * length for value, length in runs)
+
+
+_RUNS = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(1, 800)), min_size=0, max_size=12
+).map(_runs_of)
+
+
+class TestRleAgainstOracle:
+    """The vectorized encoder and size helper equal the loop encoder."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.binary(max_size=3000), _RUNS))
+    def test_encode_equals_oracle(self, data):
+        assert rle_encode(data) == oracles.rle_encode(data)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.binary(max_size=3000), _RUNS))
+    def test_size_equals_encoded_length(self, data):
+        assert rle_encoded_size(data) == len(rle_encode(data))
+
+    @pytest.mark.parametrize("run", [1, 254, 255, 256, 509, 510, 511, 765, 766])
+    def test_run_cap_boundaries(self, run):
+        for data in (b"\x07" * run, b"\x01" + b"\x07" * run + b"\x02"):
+            encoded = rle_encode(data)
+            assert encoded == oracles.rle_encode(data)
+            assert rle_encoded_size(data) == len(encoded)
+            assert rle_decode(encoded, len(data)) == data
+
+    def test_empty(self):
+        assert rle_encode(b"") == oracles.rle_encode(b"") == b""
+        assert rle_encoded_size(b"") == 0
 
 
 class TestWriterReader:
@@ -118,6 +156,18 @@ class TestCodecSelection:
         auto = encode_rvf_bytes(frames, codec="auto")
         rle = encode_rvf_bytes(frames, codec="rle")
         assert len(auto) < len(rle)
+
+    def test_auto_keeps_raw_on_a_tie(self):
+        # runs of exactly two bytes: the RLE is as long as the raw frame
+        frame = Image(np.tile(np.repeat(np.array([0, 255], dtype=np.uint8), 2), (4, 2)))
+        assert rle_encoded_size(frame.pixels.tobytes()) == frame.pixels.size
+        assert encode_rvf_bytes([frame]) == encode_rvf_bytes([frame], codec="raw")
+
+    def test_auto_matches_smaller_of_encoded_totals(self):
+        frames = _frames(9, 3) + [Image.blank(16, 12, (i, i, i)) for i in range(3)]
+        rle = encode_rvf_bytes(frames, codec="rle")
+        raw = encode_rvf_bytes(frames, codec="raw")
+        assert encode_rvf_bytes(frames, codec="auto") == (rle if len(rle) < len(raw) else raw)
 
     def test_forced_rle_roundtrips_noise(self):
         frames = _frames(5, 2)
