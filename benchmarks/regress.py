@@ -3,15 +3,15 @@
 
 Builds a synthetic store, times the two pipeline hot paths the runtime
 layer optimizes (ingest fan-out, batched distance scoring), and writes
-``BENCH_throughput.json`` so successive PRs leave a perf trajectory:
+``BENCH_throughput.json`` so successive changes leave a perf trajectory:
 
 - **ingest**   -- full admin pipeline per video (ops/sec, p50/p95 latency)
-- **query_frame**   -- frame search, scalar per-record loop vs batched matrix
+- **query_frame**   -- frame search over the full store (index pruning off)
 - **query_vectors** -- scoring-only re-rank (the relevance-feedback path)
-- **query_video**   -- clip-to-clip DP search, scalar vs batched
-- **ann_query_frame** -- IVF candidate index + exact re-rank vs the PR 2
-  brute-force batched path (reference extraction, no ANN), with a
-  recall@10-vs-brute-force column
+- **query_video**   -- clip-to-clip DP search
+- **ann_query_frame** -- IVF candidate index + exact re-rank vs the
+  brute-force full scan of ``query_frame``, with a recall@10-vs-brute-force
+  column
 - **cache_hit** -- repeated identical query served from the LRU result cache
 - **obs_overhead** -- the same frame search with full observability
   (metrics + tracing) vs the ``obs_enabled=false`` null-object fast path
@@ -34,11 +34,11 @@ Usage::
     PYTHONPATH=src python benchmarks/regress.py --quick    # CI smoke (~30 s)
     PYTHONPATH=src python benchmarks/regress.py --baseline BENCH_throughput.json
 
-The ``scalar`` columns run the pre-PR code path (``batch_distances=False``,
-one worker); ``speedup`` is scalar p50 / batched p50.  With ``--baseline``
-the run compares its ops/sec against a previous JSON and reports
-regressions beyond ``--tolerance``; ``--strict`` turns those into a
-non-zero exit (the CI regression gate).
+The three query rows keep their one column under the key ``batched``
+(the engine's only scoring path).  With ``--baseline`` the run compares
+its ops/sec against a previous JSON and reports regressions beyond
+``--tolerance``, and a tracked metric the baseline has but the run lacks;
+``--strict`` turns those into a non-zero exit (the CI regression gate).
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ import numpy as np
 from repro.core.config import SystemConfig
 from repro.core.search import SearchEngine
 from repro.core.system import VideoRetrievalSystem
-from repro.imaging import accel
 from repro.obs import Obs
 from repro.video.generator import VideoSpec, generate_video, make_corpus
 
@@ -188,40 +187,25 @@ def run_benchmarks(
         f"{ingest_seconds:.1f}s ({ingest['keyframes_per_sec']:.1f} kf/s)"
     )
 
-    # two engines over the same store: the pre-PR scalar path vs the
-    # batched path (identical rankings, measured by the tests).  The
-    # query-result cache is off so repeated timing iterations measure
-    # the scoring path, not cache hits.
-    scalar_engine = SearchEngine(
-        system.config.with_(batch_distances=False, workers=1, query_cache_size=0),
-        system._store,
-        system._index,
-    )
+    # the query-result cache is off so repeated timing iterations measure
+    # the scoring path, not cache hits
     batched_engine = SearchEngine(
-        system.config.with_(batch_distances=True, query_cache_size=0),
+        system.config.with_(query_cache_size=0),
         system._store,
         system._index,
     )
 
-    def side_by_side(label: str, make_fn) -> Dict[str, object]:
-        scalar = _timed(make_fn(scalar_engine), repeats)
-        batched = _timed(make_fn(batched_engine), repeats)
-        speedup = round(
-            scalar["latency_ms"]["p50"] / max(1e-9, batched["latency_ms"]["p50"]), 2
-        )
-        print(
-            f"{label:13s} scalar p50 {scalar['latency_ms']['p50']:8.1f}ms   "
-            f"batched p50 {batched['latency_ms']['p50']:8.1f}ms   "
-            f"speedup {speedup:.2f}x"
-        )
-        return {"scalar": scalar, "batched": batched, "speedup": speedup}
+    def timed_row(label: str, fn) -> Dict[str, object]:
+        batched = _timed(fn, repeats)
+        print(f"{label:13s} p50 {batched['latency_ms']['p50']:8.1f}ms")
+        return {"batched": batched}
 
-    # -- frame query (full scan: index pruning off to compare scoring) --------
+    # -- frame query (full scan: index pruning off to measure scoring) --------
     query_image = system.any_key_frame()
     result = {
-        "query_frame": side_by_side(
+        "query_frame": timed_row(
             "query_frame",
-            lambda eng: lambda: eng.query_frame(query_image, top_k=20, use_index=False),
+            lambda: batched_engine.query_frame(query_image, top_k=20, use_index=False),
         )
     }
 
@@ -230,9 +214,9 @@ def run_benchmarks(
     query_vectors = {
         name: batched_engine.extractors[name].extract(query_image) for name in names
     }
-    result["query_vectors"] = side_by_side(
+    result["query_vectors"] = timed_row(
         "query_vectors",
-        lambda eng: lambda: eng.query_with_vectors(query_vectors, top_k=20),
+        lambda: batched_engine.query_with_vectors(query_vectors, top_k=20),
     )
 
     # -- video query ----------------------------------------------------------
@@ -246,20 +230,18 @@ def run_benchmarks(
             frames_per_shot=3,
         )
     )
-    result["query_video"] = side_by_side(
+    result["query_video"] = timed_row(
         "query_video",
-        lambda eng: lambda: eng.query_video(clip, top_k=10),
+        lambda: batched_engine.query_video(clip, top_k=10),
     )
 
-    # -- IVF candidate index vs the PR 2 brute-force batched path -------------
-    # "pr2" is the previous release measured in-place: batched scoring over
-    # the full store with the reference (pre-accel) extraction pipeline and
-    # no candidate index.  "ann" is this release: accelerated extraction +
-    # IVF probe + exact re-rank of the probed union.
+    # -- IVF candidate index vs the brute-force full scan ---------------------
+    # "ann" probes the IVF cells and re-ranks the probed union exactly;
+    # the brute-force side is the query_frame row above (same query, no
+    # candidate index).
     ann_cells, ann_nprobe = 16, 3
     ann_engine = SearchEngine(
         system.config.with_(
-            batch_distances=True,
             query_cache_size=0,
             ann=True,
             ann_cells=ann_cells,
@@ -268,19 +250,12 @@ def run_benchmarks(
         system._store,
         system._index,
     )
-
-    def pr2_query() -> None:
-        with accel.reference_paths():
-            batched_engine.query_frame(query_image, top_k=20, use_index=False)
-
-    pr2 = _timed(pr2_query, repeats)
     ann = _timed(
         lambda: ann_engine.query_frame(query_image, top_k=20, use_index=False),
         repeats,
     )
-    ann_speedup = round(
-        pr2["latency_ms"]["p50"] / max(1e-9, ann["latency_ms"]["p50"]), 2
-    )
+    brute_p50 = result["query_frame"]["batched"]["latency_ms"]["p50"]
+    ann_speedup = round(brute_p50 / max(1e-9, ann["latency_ms"]["p50"]), 2)
 
     # recall@10: ANN top-10 vs the brute-force top-10, averaged over a
     # deterministic spread of stored key frames used as queries
@@ -298,9 +273,8 @@ def run_benchmarks(
     recall_at_10 = round(float(np.mean(recalls)), 3) if recalls else 1.0
 
     result["ann_query_frame"] = {
-        "pr2": pr2,
         "ann": ann,
-        "speedup_vs_pr2": ann_speedup,
+        "speedup_vs_brute": ann_speedup,
         "recall_at_10": recall_at_10,
         "recall_queries": len(recalls),
         "ann_cells": ann_cells,
@@ -308,14 +282,14 @@ def run_benchmarks(
         "ann_stats": ann_engine.ann_stats(),
     }
     print(
-        f"ann_query_frame  pr2 p50 {pr2['latency_ms']['p50']:8.1f}ms   "
+        f"ann_query_frame  brute p50 {brute_p50:8.1f}ms   "
         f"ann p50 {ann['latency_ms']['p50']:8.1f}ms   "
         f"speedup {ann_speedup:.2f}x   recall@10 {recall_at_10:.3f}"
     )
 
     # -- query-result cache: repeated identical query ------------------------
     cache_engine = SearchEngine(
-        system.config.with_(batch_distances=True, query_cache_size=256),
+        system.config.with_(query_cache_size=256),
         system._store,
         system._index,
     )
@@ -344,7 +318,7 @@ def run_benchmarks(
     # full metrics + traces on every query.  The gate tracks the *disabled*
     # throughput so instrumentation can never tax uninstrumented callers.
     obs_engine = SearchEngine(
-        system.config.with_(batch_distances=True, query_cache_size=0),
+        system.config.with_(query_cache_size=0),
         system._store,
         system._index,
         obs=Obs(),
@@ -426,7 +400,7 @@ def run_benchmarks(
         split_store(system._store, tmp, 4)
         _, shard_paths = read_manifest(tmp)
         sharded_engine = ShardedSearchEngine(
-            system.config.with_(batch_distances=True, query_cache_size=0),
+            system.config.with_(query_cache_size=0),
             shard_paths,
         )
         try:
@@ -477,7 +451,7 @@ def run_benchmarks(
     per_client = max(4, repeats * 2)
     system.attach_engine(
         SearchEngine(
-            system.config.with_(batch_distances=True, query_cache_size=0),
+            system.config.with_(query_cache_size=0),
             system._store,
             system._index,
         )
@@ -535,11 +509,21 @@ def _lookup(report: Dict[str, object], path) -> Optional[float]:
 def compare_to_baseline(
     report: Dict[str, object], baseline: Dict[str, object], tolerance: float
 ) -> List[str]:
-    """Tracked throughput metrics that regressed beyond ``tolerance``."""
+    """Tracked throughput metrics that regressed beyond ``tolerance``.
+
+    A metric the baseline has but the report lacks counts as a
+    regression, so a renamed or dropped row fails the gate instead of
+    going quiet.
+    """
     regressions = []
     for path in _TRACKED:
         now, then = _lookup(report, path), _lookup(baseline, path)
-        if now is None or then is None or then <= 0:
+        if then is None or then <= 0:
+            continue
+        if now is None:
+            regressions.append(
+                f"{'.'.join(path)}: present in baseline, missing from run"
+            )
             continue
         if now < then * (1.0 - tolerance):
             regressions.append(

@@ -104,7 +104,7 @@ def main(argv=None) -> int:
 
     os.makedirs(args.artifact_dir, exist_ok=True)
     system = _build_system(args.videos_per_category, args.shots)
-    config = system.config.with_(batch_distances=True, query_cache_size=0)
+    config = system.config.with_(query_cache_size=0)
 
     # a scoring-only query: vectors precomputed once so every engine does
     # identical per-query work (distances + fusion + top-k), nothing else

@@ -65,8 +65,6 @@ class SystemConfig:
     # execution layer (repro.runtime)
     #: ingest worker processes: 1 = serial, 0 = auto (REPRO_WORKERS / CPU count)
     workers: int = 1
-    #: score candidates with vectorized batch distances instead of per-record loops
-    batch_distances: bool = True
     # observability (repro.obs): metrics registry + tracing + structured logs
     #: master gate; False swaps every instrumentation point for shared no-ops
     obs_enabled: bool = True

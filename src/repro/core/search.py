@@ -26,7 +26,6 @@ from repro.core.config import SystemConfig
 from repro.core.results import RetrievalResult, SearchResults
 from repro.core.store import FeatureStore, FrameRecord
 from repro.features.base import FeatureExtractor, FeatureVector, get_extractor
-from repro.imaging import accel
 from repro.imaging.image import Image
 from repro.indexing import ann as ann_metrics
 from repro.indexing.ann import IVFIndex
@@ -130,13 +129,13 @@ class QueryRequest:
 class _QueryPlan:
     """One request's resolved scoring work, between plan and rank.
 
-    :meth:`SearchEngine._plan_vectors` resolves candidates and scoring
-    flags into a plan, :meth:`SearchEngine._score_plan` turns it into raw
-    per-feature distances, :meth:`SearchEngine._rank_plan` fuses and
-    ranks.  The split exists so :meth:`SearchEngine.query_batch` can run
-    several plans through one scoring pass (one scatter per shard for
-    the sharded engine) while keeping every per-query kernel call
-    identical to serial execution.  The sharded coordinator reuses the
+    :meth:`SearchEngine._plan_vectors` resolves candidates into a plan,
+    :meth:`SearchEngine._score_plan` turns it into raw per-feature
+    distances, :meth:`SearchEngine._rank_plan` fuses and ranks.  The
+    split exists so :meth:`SearchEngine.query_batch` can run several
+    plans through one scoring pass (one scatter per shard for the
+    sharded engine) while keeping every per-query kernel call identical
+    to serial execution.  The sharded coordinator reuses the
     same carrier with its own fields (``candidate_arr`` .. ``merge_t0``).
     """
 
@@ -148,16 +147,13 @@ class _QueryPlan:
     explain: Optional[Dict[str, object]] = None
     #: early result for an empty candidate set (skips score/rank)
     empty: Optional[SearchResults] = None
-    batched: bool = False
-    fast: bool = False
     # single-store scoring state
     candidate_ids: Optional[List[int]] = None
     full_store: bool = False
-    records: Optional[List[FrameRecord]] = None
+    #: candidate rows of the stacks (None = every row, in id order)
     rows: Optional[np.ndarray] = None
-    #: per-feature stacks taken under the store lock: the prepared full
-    #: stack (gathered by ``rows`` at scoring) or the reference path's
-    #: candidate matrix
+    #: per-feature prepared full stacks taken under the store lock,
+    #: gathered by ``rows`` at scoring
     stacks: Optional[Dict[str, np.ndarray]] = None
     #: the store's record mapping as of the plan (ranking reads it)
     frames: Optional[Mapping[int, FrameRecord]] = None
@@ -598,7 +594,7 @@ class SearchEngine:
         weights: Optional[Dict[str, float]],
         nprobe: Optional[int] = None,
     ) -> _QueryPlan:
-        """Resolve candidates + scoring flags into a :class:`_QueryPlan`.
+        """Resolve candidates into a :class:`_QueryPlan`.
 
         Every store read a query makes happens here, under the store lock:
         the plan carries the rows, stacks and records that scoring and
@@ -642,59 +638,33 @@ class SearchEngine:
                     [], n_candidates=0, n_total=n_total, explain=explain
                 )
                 return plan
-            plan.batched = self.config.batch_distances
-            plan.fast = accel.fast_paths_enabled()
             plan.frames = self.store.records()
-            if plan.batched and plan.fast:
-                # one binary search maps candidate ids to stack rows for every
-                # feature (preparation commutes with row gathers)
-                if not full_store:
-                    plan.rows = self.store.matrix_rows(candidate_ids)
-                plan.stacks = {name: self._prepared_matrix(name) for name in names}
-                return plan
-            # the scalar path needs the records; the reference batched path
-            # materializes them too, replicating the pre-acceleration code
-            plan.records = [self.store.get(fid) for fid in candidate_ids]
-            if plan.batched:
-                # reference batched path: raw stack + per-call preprocessing
-                plan.stacks = {
-                    name: self.store.feature_matrix(
-                        name, None if full_store else candidate_ids
-                    )
-                    for name in names
-                }
+            # one binary search maps candidate ids to stack rows for every
+            # feature (preparation commutes with row gathers)
+            if not full_store:
+                plan.rows = self.store.matrix_rows(candidate_ids)
+            plan.stacks = {name: self._prepared_matrix(name) for name in names}
             return plan
 
     def _score_plan(self, plan: _QueryPlan) -> Dict[str, np.ndarray]:
         """Raw per-feature distances over the plan's candidate set.
 
-        Every kernel call is identical to the pre-split code, so serial
-        and batched executions of the same query score byte-for-byte the
-        same arrays.
+        Each feature is one ``batch_distance_prepared`` call over the
+        store's prepared stack, so serial and batched executions of the
+        same query score byte-for-byte the same arrays.
         """
-        prepared_scoring = plan.batched and plan.fast
         per_feature: Dict[str, np.ndarray] = {}
         distance_ms: Dict[str, float] = {}
         for name in plan.names:
             t_dist = time.perf_counter()
-            extractor = self.extractors[name]
-            qv = plan.query_vectors[name]
-            if prepared_scoring:
-                # the id-sorted prepared stack is cached per generation;
-                # only subsets pay a gather
-                prepared = plan.stacks[name]
-                if plan.rows is not None:
-                    prepared = prepared[plan.rows]
-                per_feature[name] = extractor.batch_distance_prepared(qv, prepared)
-            elif plan.batched:
-                per_feature[name] = extractor.batch_distance(qv, plan.stacks[name])
-            else:
-                per_feature[name] = np.array(
-                    [
-                        extractor.distance(qv, rec.features[name])
-                        for rec in plan.records
-                    ]
-                )
+            # the id-sorted prepared stack is cached per generation; only
+            # subsets pay a gather
+            prepared = plan.stacks[name]
+            if plan.rows is not None:
+                prepared = prepared[plan.rows]
+            per_feature[name] = self.extractors[name].batch_distance_prepared(
+                plan.query_vectors[name], prepared
+            )
             dt = time.perf_counter() - t_dist
             distance_ms[name] = round(dt * 1000.0, 3)
             self._m_distance_seconds.labels(feature=name).observe(dt)
@@ -739,17 +709,9 @@ class SearchEngine:
         }
         self._m_fusion_seconds.observe(t_fuse)
 
-        if plan.fast:
-            order = _stable_topk(fused, max(0, plan.top_k))
-        else:
-            order = np.argsort(fused, kind="stable")[: max(0, plan.top_k)]
         hits = []
-        for i in order:
-            record = (
-                plan.records[i]
-                if plan.records is not None
-                else plan.frames[plan.candidate_ids[i]]
-            )
+        for i in _stable_topk(fused, max(0, plan.top_k)):
+            record = plan.frames[plan.candidate_ids[i]]
             hits.append(
                 RetrievalResult(
                     frame_id=record.frame_id,
@@ -1034,7 +996,7 @@ class SearchEngine:
         # *entire* stored frame population, so min-max normalization is
         # global: a video whose frames are all far from the query must keep
         # a large cost, not normalize down to zero.  The population and its
-        # matrices are read in one store-lock hold.
+        # prepared stacks are read in one store-lock hold.
         all_records: List[FrameRecord] = []
         spans: Dict[int, slice] = {}
         with self.store.lock:
@@ -1045,12 +1007,13 @@ class SearchEngine:
                 records = self.store.frames_of_video(video_id)
                 spans[video_id] = slice(len(all_records), len(all_records) + len(records))
                 all_records.extend(records)
+            stacks = {name: self._prepared_matrix(name) for name in names}
             record_ids = [rec.frame_id for rec in all_records]
-            matrices = (
-                {name: self.store.feature_matrix(name, record_ids) for name in names}
-                if self.config.batch_distances
-                else {}
-            )
+            # the stacks hold frames in id order; only ids interleaved
+            # across videos pay a gather
+            if record_ids != self.store.frame_ids():
+                rows = self.store.matrix_rows(record_ids)
+                stacks = {name: stack[rows] for name, stack in stacks.items()}
 
         nq, nr = len(query_seq), len(all_records)
         combined = np.zeros((nq, nr))
@@ -1058,14 +1021,8 @@ class SearchEngine:
         for name in names:
             extractor = self.extractors[name]
             m = np.empty((nq, nr))
-            if self.config.batch_distances:
-                matrix = matrices[name]
-                for i, qf in enumerate(query_seq):
-                    m[i, :] = extractor.batch_distance(qf[name], matrix)
-            else:
-                for i, qf in enumerate(query_seq):
-                    for j, rec in enumerate(all_records):
-                        m[i, j] = extractor.distance(qf[name], rec.features[name])
+            for i, qf in enumerate(query_seq):
+                m[i, :] = extractor.batch_distance_prepared(qf[name], stacks[name])
             w = self.config.weight_of(name)
             combined += w * normalize_scores(m.ravel()).reshape(nq, nr)
             total_weight += w

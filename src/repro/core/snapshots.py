@@ -103,8 +103,9 @@ class _FrameFeatures(MappingABC):
     Ingested records hold plain dicts of parsed vectors; snapshot-backed
     records hold this instead, so opening a million-frame snapshot costs
     no vector copies -- a :class:`FeatureVector` is built (and its row
-    paged in) only when the scalar path actually touches it.  The batched
-    scoring path never does: it reads the seeded matrices directly.
+    paged in) only when a caller reads one record's vector: relevance
+    feedback's ``refine()`` and the paper API's ``distance()``.  Search
+    scoring never does: it reads the seeded matrices directly.
     """
 
     __slots__ = ("_shared", "_frame_id", "_position")

@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.core.catalog import FEATURE_COLUMNS
 from repro.db.engine import Database
-from repro.imaging import accel
 from repro.features.base import FeatureExtractor, FeatureVector
 from repro.indexing.rangefinder import Bucket
 
@@ -62,9 +61,9 @@ class FeatureStore:
         self._by_video: Dict[int, List[int]] = {}
         # clip-level motion descriptors (extension; see repro.video.motion)
         self._video_motion: Dict[int, FeatureVector] = {}
-        # feature name -> (stacked matrix over all frames, frame_id -> row);
-        # built lazily by feature_matrix, revalidated by generation
-        self._matrix_cache: Dict[str, Tuple[np.ndarray, Dict[int, int]]] = {}
+        # feature name -> stacked matrix over all frames in id order; built
+        # lazily by feature_matrix, revalidated by generation
+        self._matrix_cache: Dict[str, np.ndarray] = {}
         # feature name -> extractor-prepared full stack; the single source
         # of truth every SearchEngine sharing this store draws from, so
         # snapshot generation, cache generation, and ANN retrain key off
@@ -179,34 +178,26 @@ class FeatureStore:
         lazily rebuilt when :attr:`structure_generation` has moved since it
         was built; subsets are cheap row gathers from that cache.  Raises
         ``KeyError`` for an unknown frame id or a frame missing the
-        feature, exactly as the scalar per-record path would.
+        feature, exactly as reading the records one by one would.
         """
         self._sync_caches()
-        cached = self._matrix_cache.get(name)
-        if cached is None:
-            ids = self.frame_ids()
-            rows = [self._frames[fid].features[name].values for fid in ids]
+        base = self._matrix_cache.get(name)
+        if base is None:
+            rows = [self._frames[fid].features[name].values for fid in self._ids_cache]
             if rows:
                 base = np.stack(rows).astype(np.float64, copy=False)
             else:
                 base = np.empty((0, 0), dtype=np.float64)
             base.setflags(write=False)
-            cached = (base, {fid: i for i, fid in enumerate(ids)})
-            self._matrix_cache[name] = cached
-        base, row_of = cached
+            self._matrix_cache[name] = base
         if frame_ids is None:
             return base
-        if accel.fast_paths_enabled():
-            wanted = np.asarray(frame_ids, dtype=np.int64)
-            if wanted.size == self._ids_arr.size and bool(
-                np.array_equal(wanted, self._ids_arr)
-            ):
-                return base
-            try:
-                return base[self.matrix_rows(wanted)]
-            except KeyError:
-                pass  # unknown id: the dict path below raises it by value
-        return base[[row_of[fid] for fid in frame_ids]]
+        wanted = np.asarray(frame_ids, dtype=np.int64)
+        if wanted.size == self._ids_arr.size and bool(
+            np.array_equal(wanted, self._ids_arr)
+        ):
+            return base
+        return base[self.matrix_rows(wanted)]
 
     def prepared_matrix(self, name: str, extractor: FeatureExtractor) -> np.ndarray:
         """The feature's extractor-prepared full stack, cached per structure.
@@ -305,8 +296,7 @@ class FeatureStore:
             )
         if matrix.flags.writeable:  # np.memmap mode="r" views already aren't
             matrix.setflags(write=False)
-        row_of = {fid: i for i, fid in enumerate(self._ids_cache)}
-        self._matrix_cache[name] = (matrix, row_of)
+        self._matrix_cache[name] = matrix
 
     # -- rebuild -----------------------------------------------------------------
 

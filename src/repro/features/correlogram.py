@@ -14,9 +14,9 @@ The §5.1 dump starts ``ACC 4 0.7046 ...`` -- maxDistance 4, values in
 normalization of Huang et al. (divide by ``hist[c] * 8d``) is available as
 ``normalization='probability'``.
 
-Counting is vectorized: a ring at distance d has 8d offsets; for each
-offset the whole image is compared against its shifted self, and matches
-are histogrammed by color with one ``bincount``.
+Counting is vectorized: a ring at distance d has 8d offsets; every
+offset's shifted image is compared against the image in one pass, and
+each ring's matches are histogrammed by color with one ``bincount``.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import threading
 import numpy as np
 
 from repro.features.base import FeatureExtractor, FeatureVector, register_extractor
-from repro.imaging import accel
 from repro.imaging.color import quantize_hsv
 from repro.imaging.image import Image
 
@@ -45,36 +44,6 @@ def ring_offsets(d: int):
         offsets.append((-d, dy))
         offsets.append((d, dy))
     return offsets
-
-
-def correlogram_counts(quantized: np.ndarray, n_colors: int, max_distance: int) -> np.ndarray:
-    """Raw same-color pair counts: shape ``(n_colors, max_distance)``.
-
-    ``counts[c, d-1]`` = number of ordered pixel pairs (p, q) with
-    ``color(p) == color(q) == c`` and ``max(|dx|, |dy|) == d`` (q inside the
-    image).
-    """
-    q = np.asarray(quantized)
-    if q.ndim != 2:
-        raise ValueError("quantized must be a 2-D index array")
-    if accel.fast_paths_enabled() and q.size:
-        return _correlogram_counts_windows(q, n_colors, max_distance)
-    h, w = q.shape
-    counts = np.zeros((n_colors, max_distance), dtype=np.float64)
-    for d in range(1, max_distance + 1):
-        for dx, dy in ring_offsets(d):
-            # overlap region of the image with itself shifted by (dx, dy)
-            y0a, y1a = max(0, -dy), h - max(0, dy)
-            x0a, x1a = max(0, -dx), w - max(0, dx)
-            if y0a >= y1a or x0a >= x1a:
-                continue
-            a = q[y0a:y1a, x0a:x1a]
-            b = q[y0a + dy : y1a + dy, x0a + dx : x1a + dx]
-            same = a == b
-            if not same.any():
-                continue
-            counts[:, d - 1] += np.bincount(a[same].ravel(), minlength=n_colors)
-    return counts
 
 
 _RING_INDEX_CACHE: dict = {}
@@ -96,21 +65,28 @@ def _ring_indices(max_distance: int):
     return rings
 
 
-def _correlogram_counts_windows(
-    q: np.ndarray, n_colors: int, max_distance: int
-) -> np.ndarray:
-    """All-shifts-at-once counting: bitwise identical to the offset loop.
+def correlogram_counts(quantized: np.ndarray, n_colors: int, max_distance: int) -> np.ndarray:
+    """Raw same-color pair counts: shape ``(n_colors, max_distance)``.
 
-    The image is padded with a sentinel color so out-of-image neighbours
-    can never match, and ``sliding_window_view`` exposes every shift in
-    ``[-D, D]^2`` as one ``(2D+1, 2D+1, h, w)`` stack.  A single vectorized
-    equality against the unshifted image replaces the per-offset Python
-    loop; each ring then reduces its 8d shift planes and histograms by
-    color.  All quantities are small integer counts, so the float64
-    bincount accumulation is exact.
+    ``counts[c, d-1]`` = number of ordered pixel pairs (p, q) with
+    ``color(p) == color(q) == c`` and ``max(|dx|, |dy|) == d`` (q inside the
+    image).
+
+    All shifts are counted at once: the image is padded with a sentinel
+    color so out-of-image neighbours can never match, and
+    ``sliding_window_view`` exposes every shift in ``[-D, D]^2`` as one
+    ``(2D+1, 2D+1, h, w)`` stack.  A single vectorized equality against the
+    unshifted image replaces a per-offset loop; each ring then reduces its
+    8d shift planes and histograms by color.  All quantities are small
+    integer counts, so the float64 bincount accumulation is exact.
     """
     from numpy.lib.stride_tricks import sliding_window_view
 
+    q = np.asarray(quantized)
+    if q.ndim != 2:
+        raise ValueError("quantized must be a 2-D index array")
+    if not q.size:
+        return np.zeros((n_colors, max_distance), dtype=np.float64)
     h, w = q.shape
     d_max = max_distance
     padded = np.full((h + 2 * d_max, w + 2 * d_max), n_colors, dtype=q.dtype)

@@ -97,7 +97,7 @@ def gabor_responses(
         raise ValueError("gabor_responses expects a 2-D gray array")
     bank = _cached_bank(a.shape, scales, orientations, ul, uh)
     spectrum = np.fft.fft2(a)
-    if accel.fast_paths_enabled() and accel.HAVE_SCIPY:
+    if accel.HAVE_SCIPY:
         import scipy.fft as sfft
 
         # multiply into a preallocated complex stack (the bank is real, so

@@ -27,7 +27,6 @@ from typing import Dict, Tuple
 import numpy as np
 
 from repro.features.base import FeatureExtractor, FeatureVector, register_extractor
-from repro.imaging import accel
 from repro.imaging.image import Image
 from repro.imaging.resize import resize_array
 
@@ -50,32 +49,19 @@ def glcm_matrix(gray: np.ndarray, step: int = 1, levels: int = 256) -> np.ndarra
         raise ValueError("glcm_matrix expects a 2-D gray array")
     if step < 1 or step >= a.shape[1]:
         raise ValueError(f"step must be in [1, width); got {step}")
-    if accel.fast_paths_enabled():
-        # one narrow-int conversion instead of two wide ones; counts are
-        # exact integers either way, so the result is identical
-        ai = a.astype(np.int32)
-        left = ai[:, :-step]
-        right = ai[:, step:]
-        if levels != 256:
-            left = left * levels // 256
-            right = right * levels // 256
-        flat = left * np.int32(levels) + right
-        counts = np.bincount(flat.ravel(), minlength=levels * levels)
-        glcm = counts.reshape(levels, levels)
-        glcm = glcm + glcm.T  # symmetric accumulation, 2 entries per pair
-        total = float(glcm.sum())
-        return glcm / total if total > 0 else glcm.astype(np.float64)
-    left = a[:, :-step].astype(np.int64)
-    right = a[:, step:].astype(np.int64)
+    # one narrow-int conversion; counts are exact integers
+    ai = a.astype(np.int32)
+    left = ai[:, :-step]
+    right = ai[:, step:]
     if levels != 256:
         left = left * levels // 256
         right = right * levels // 256
-    flat = left * levels + right
-    counts = np.bincount(flat.ravel(), minlength=levels * levels).astype(np.float64)
+    flat = left * np.int32(levels) + right
+    counts = np.bincount(flat.ravel(), minlength=levels * levels)
     glcm = counts.reshape(levels, levels)
     glcm = glcm + glcm.T  # symmetric accumulation, 2 entries per pair
-    total = glcm.sum()
-    return glcm / total if total > 0 else glcm
+    total = float(glcm.sum())
+    return glcm / total if total > 0 else glcm.astype(np.float64)
 
 
 _GRID_CACHE: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
@@ -96,9 +82,13 @@ def _cached_grids(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return grids
 
 
-def _glcm_statistics_fast(p: np.ndarray, paper_exact: bool) -> dict:
-    """Marginal-based statistics: same math, O(n) moment work after two
-    marginal reductions and no per-call constant-grid allocation."""
+def glcm_statistics(glcm: np.ndarray, paper_exact: bool = False) -> dict:
+    """The five Haralick statistics of a normalized GLCM.
+
+    Moments come from the two marginals (O(n) work after two reductions)
+    and the constant ``(a-b)^2`` / IDM weight grids are cached per size.
+    """
+    p = np.asarray(glcm, dtype=np.float64)
     n = p.shape[0]
     levels, d2, idm_w = _cached_grids(n)
     row = p.sum(axis=1)
@@ -111,47 +101,13 @@ def _glcm_statistics_fast(p: np.ndarray, paper_exact: bool) -> dict:
     vary = float((levels - py) ** 2 @ col)
     cov = float(levels @ p @ levels) - px * py
     if paper_exact:
-        denom = varx * vary
+        denom = varx * vary  # the pseudo-code's variance product
     else:
         denom = float(np.sqrt(varx * vary))
     correlation = cov / denom if denom > 1e-18 else 0.0
     idm = float(np.einsum("ij,ij->", idm_w, p))
     logs = np.log(p, out=np.zeros_like(p), where=p > 0)
     entropy = float(-np.einsum("ij,ij->", p, logs))
-    return {
-        "asm": asm,
-        "contrast": contrast,
-        "correlation": correlation,
-        "idm": idm,
-        "entropy": entropy,
-    }
-
-
-def glcm_statistics(glcm: np.ndarray, paper_exact: bool = False) -> dict:
-    """The five Haralick statistics of a normalized GLCM."""
-    p = np.asarray(glcm, dtype=np.float64)
-    if accel.fast_paths_enabled():
-        return _glcm_statistics_fast(p, paper_exact)
-    n = p.shape[0]
-    levels = np.arange(n, dtype=np.float64)
-    a = levels[:, np.newaxis]
-    b = levels[np.newaxis, :]
-
-    asm = float(np.sum(p * p))
-    contrast = float(np.sum((a - b) ** 2 * p))
-    px = float(np.sum(a * p))
-    py = float(np.sum(b * p))
-    varx = float(np.sum((a - px) ** 2 * p))
-    vary = float(np.sum((b - py) ** 2 * p))
-    cov = float(np.sum((a - px) * (b - py) * p))
-    if paper_exact:
-        denom = varx * vary  # the pseudo-code's variance product
-    else:
-        denom = float(np.sqrt(varx * vary))
-    correlation = cov / denom if denom > 1e-18 else 0.0
-    idm = float(np.sum(p / (1.0 + (a - b) ** 2)))
-    nz = p > 0
-    entropy = float(-np.sum(p[nz] * np.log(p[nz])))
     return {
         "asm": asm,
         "contrast": contrast,

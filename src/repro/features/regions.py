@@ -59,8 +59,8 @@ def label_regions(binary: np.ndarray, connectivity: int = 8) -> RegionGrowingRes
     starting at 1, assigned in raster-scan order of the component's first
     pixel (exactly what the paper's seed-scan region grow produces);
     components seeded on a 0 (background) pixel also count as holes,
-    following the paper's listing.  The fast path labels with
-    ``scipy.ndimage``; the reference path is the paper's stack-based grow.
+    following the paper's listing.  With SciPy installed this labels with
+    ``scipy.ndimage``; without it, with the paper's stack-based grow.
     Both yield identical results.
     """
     if connectivity not in (4, 8):
@@ -69,14 +69,14 @@ def label_regions(binary: np.ndarray, connectivity: int = 8) -> RegionGrowingRes
     if pixels.ndim != 2:
         raise ValueError("label_regions expects a 2-D array")
     pixels = pixels.astype(np.uint8)
-    if accel.fast_paths_enabled() and accel.HAVE_SCIPY:
+    if accel.HAVE_SCIPY:
         return _label_regions_scipy(pixels, connectivity)
-    return _label_regions_reference(pixels, connectivity)
+    return _label_regions_grow(pixels, connectivity)
 
 
 def _label_regions_scipy(pixels: np.ndarray, connectivity: int) -> RegionGrowingResult:
     """Connected components via ``scipy.ndimage.label``, renumbered to match
-    the reference implementation's raster-scan label order."""
+    the stack-based grow's raster-scan label order."""
     import scipy.ndimage as ndimage
 
     structure = np.ones((3, 3), dtype=bool)
@@ -104,7 +104,7 @@ def _label_regions_scipy(pixels: np.ndarray, connectivity: int) -> RegionGrowing
         offset += n
 
     # renumber so labels follow the raster-scan order of each component's
-    # first pixel, matching the reference seed loop
+    # first pixel, matching the stack-based grow's seed loop
     flat = combined.ravel()
     comp_ids, first_flat = np.unique(flat, return_index=True)
     order = np.argsort(first_flat, kind="stable")
@@ -129,8 +129,8 @@ def _label_regions_scipy(pixels: np.ndarray, connectivity: int) -> RegionGrowing
     )
 
 
-def _label_regions_reference(pixels: np.ndarray, connectivity: int) -> RegionGrowingResult:
-    """The paper's stack-based region grow (reference / no-SciPy path)."""
+def _label_regions_grow(pixels: np.ndarray, connectivity: int) -> RegionGrowingResult:
+    """The paper's stack-based region grow (the no-SciPy path)."""
     neighbors = _NEIGHBORS_8 if connectivity == 8 else _NEIGHBORS_4
     h, w = pixels.shape
     labels = np.full((h, w), -1, dtype=np.int32)

@@ -23,15 +23,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.features.base import FeatureExtractor, FeatureVector, register_extractor
-from repro.imaging import accel
-from repro.imaging.filters import convolve2d
 from repro.imaging.image import Image
 
 __all__ = ["TamuraTexture", "coarseness", "tamura_contrast", "directionality"]
-
-_PREWITT_X = np.array([[-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0]])
-_PREWITT_Y = _PREWITT_X.T.copy()
-
 
 def _integral(a: np.ndarray) -> np.ndarray:
     """Zero-padded summed-area table: ii[y, x] = sum of a[:y, :x]."""
@@ -49,18 +43,15 @@ def _window_mean(ii: np.ndarray, half: int, h: int, w: int) -> np.ndarray:
     x0 = np.clip(xs - half, 0, w)[np.newaxis, :]
     x1 = np.clip(xs + half, 0, w)[np.newaxis, :]
     area = (y1 - y0) * (x1 - x0)
-    if accel.fast_paths_enabled():
-        # edge-padding turns the clipped gathers ii[clip(y +/- half), ...]
-        # into four contiguous slices of the same values
-        p = np.pad(ii, half, mode="edge")
-        total = (
-            p[2 * half : 2 * half + h, 2 * half : 2 * half + w]
-            - p[:h, 2 * half : 2 * half + w]
-            - p[2 * half : 2 * half + h, :w]
-            + p[:h, :w]
-        )
-    else:
-        total = ii[y1, x1] - ii[y0, x1] - ii[y1, x0] + ii[y0, x0]
+    # edge-padding turns the clipped gathers ii[clip(y +/- half), ...] into
+    # four contiguous slices of the same values
+    p = np.pad(ii, half, mode="edge")
+    total = (
+        p[2 * half : 2 * half + h, 2 * half : 2 * half + w]
+        - p[:h, 2 * half : 2 * half + w]
+        - p[2 * half : 2 * half + h, :w]
+        + p[:h, :w]
+    )
     return total / np.maximum(area, 1)
 
 
@@ -96,24 +87,19 @@ def tamura_contrast(gray: np.ndarray) -> float:
     """sigma / kurtosis^(1/4); zero for constant images."""
     a = np.asarray(gray, dtype=np.float64).ravel()
     mu = a.mean()
-    if accel.fast_paths_enabled():
-        d2 = np.square(a - mu)
-        sigma2 = d2.mean()
-        if sigma2 < 1e-12:
-            return 0.0
-        mu4 = np.mean(np.square(d2))
-    else:
-        sigma2 = np.mean((a - mu) ** 2)
-        if sigma2 < 1e-12:
-            return 0.0
-        mu4 = np.mean((a - mu) ** 4)
+    d2 = np.square(a - mu)
+    sigma2 = d2.mean()
+    if sigma2 < 1e-12:
+        return 0.0
+    mu4 = np.mean(np.square(d2))
     alpha4 = mu4 / (sigma2**2)
     return float(np.sqrt(sigma2) / alpha4**0.25)
 
 
 def _prewitt_sliced(a: np.ndarray):
-    """Prewitt gradients via shifted slices (gray values are integers, so
-    the regrouped sums are exact -- identical to the convolution path)."""
+    """Prewitt gradients via shifted slices over a reflect-padded frame
+    (gray values are integers, so the regrouped sums are exact --
+    identical to convolving with the 3x3 Prewitt kernels)."""
     h, w = a.shape
     p = np.pad(a, 1, mode="reflect") if min(h, w) > 1 else np.pad(a, 1)
     rowsum = p[:-2, :] + p[1:-1, :] + p[2:, :]
@@ -129,12 +115,7 @@ def directionality(gray: np.ndarray, bins: int = 16, threshold: float = 12.0) ->
     Angles are folded into [0, pi) (a direction, not an orientation sign).
     The returned histogram holds raw pixel counts, like the paper's dump.
     """
-    a = np.asarray(gray, dtype=np.float64)
-    if accel.fast_paths_enabled():
-        gx, gy = _prewitt_sliced(a)
-    else:
-        gx = convolve2d(a, _PREWITT_X)
-        gy = convolve2d(a, _PREWITT_Y)
+    gx, gy = _prewitt_sliced(np.asarray(gray, dtype=np.float64))
     mag = (np.abs(gx) + np.abs(gy)) / 2.0
     theta = np.mod(np.arctan2(gy, gx) + np.pi / 2.0, np.pi)  # edge direction
     strong = mag > threshold

@@ -1,57 +1,21 @@
-"""Fast-path switch for accelerated imaging/feature kernels.
+"""Optional SciPy acceleration for the imaging/feature kernels.
 
-Several hot kernels (thresholding, region labelling, the Gabor bank, the
-correlogram) have two implementations: a straightforward *reference* form
-that mirrors the paper's pseudo-code, and an accelerated form (vectorized
-NumPy, or SciPy where available) that produces identical results.  The
-reference forms stay in the tree for three reasons: they are the oracle
-the equivalence tests compare against, they are the fallback when SciPy
-is absent, and the benchmark harness uses them to measure the
-pre-acceleration code path.
-
-The switch is process-global and defaults to fast.  Worker processes
-inherit the default, so parallel ingest always runs the fast path.
+Every kernel has one production implementation.  Two of them have a SciPy
+form and a pure-NumPy form that produce the same results: the Gabor bank's
+batched inverse FFT (:func:`repro.features.gabor.gabor_responses`) and
+connected-component labelling (:func:`repro.features.regions.label_regions`).
+SciPy is an optional dependency, so :data:`HAVE_SCIPY` alone picks between
+them.  The straightforward reference forms of the other kernels live in the
+test suite as oracles (``tests/imaging/oracles.py``).
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator
+__all__ = ["HAVE_SCIPY"]
 
-__all__ = [
-    "HAVE_SCIPY",
-    "fast_paths_enabled",
-    "set_fast_paths",
-    "reference_paths",
-]
-
-try:  # SciPy is optional; every fast path has a NumPy or reference fallback
+try:  # SciPy is optional; the NumPy forms cover its absence
     import scipy.ndimage as _ndimage  # noqa: F401
 
     HAVE_SCIPY = True
 except ImportError:  # pragma: no cover - depends on the environment
     HAVE_SCIPY = False
-
-_FAST = True
-
-
-def fast_paths_enabled() -> bool:
-    """True when accelerated kernels should be used."""
-    return _FAST
-
-
-def set_fast_paths(enabled: bool) -> None:
-    """Globally enable/disable the accelerated kernels."""
-    global _FAST
-    _FAST = bool(enabled)
-
-
-@contextmanager
-def reference_paths() -> Iterator[None]:
-    """Run the enclosed block on the reference implementations."""
-    previous = _FAST
-    set_fast_paths(False)
-    try:
-        yield
-    finally:
-        set_fast_paths(previous)

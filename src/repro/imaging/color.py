@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.imaging import accel
-
 __all__ = [
     "GRAY_WEIGHTS",
     "rgb_to_gray",
@@ -44,10 +42,8 @@ def rgb_to_gray(rgb: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected (h, w, 3) array, got {arr.shape}")
     w = np.asarray(GRAY_WEIGHTS, dtype=np.float64)
     gray = arr.astype(np.float64) @ w
-    if accel.fast_paths_enabled():
-        # same clamp as np.clip without its per-call dtype-limit lookups
-        return np.minimum(np.maximum(np.rint(gray), 0), 255).astype(np.uint8)
-    return np.clip(np.rint(gray), 0, 255).astype(np.uint8)
+    # same clamp as np.clip without its per-call dtype-limit lookups
+    return np.minimum(np.maximum(np.rint(gray), 0), 255).astype(np.uint8)
 
 
 def rgb_to_hsv(rgb: np.ndarray) -> np.ndarray:
@@ -68,32 +64,18 @@ def rgb_to_hsv(rgb: np.ndarray) -> np.ndarray:
     rmax = nz & (maxc == r)
     gmax = nz & (maxc == g) & ~rmax
 
-    if accel.fast_paths_enabled():
-        # piecewise hue, branchless: every element evaluates the same
-        # formula its masked-assignment equivalent would, so results are
-        # identical (the safe denominators only feed discarded lanes)
-        safe_delta = np.where(nz, delta, 1.0)
-        h = np.where(
-            rmax,
-            np.mod((g - b) / safe_delta, 6.0),
-            np.where(gmax, (b - r) / safe_delta + 2.0, (r - g) / safe_delta + 4.0),
-        )
-        h = np.where(nz, h, 0.0)
-        h *= 60.0
-        s = np.where(maxc > 0, delta / np.where(maxc > 0, maxc, 1.0), 0.0)
-        return np.stack([h, s, maxc], axis=-1)
-
-    h = np.zeros_like(maxc)
-    bmax = nz & ~rmax & ~gmax
-    h[rmax] = np.mod((g[rmax] - b[rmax]) / delta[rmax], 6.0)
-    h[gmax] = (b[gmax] - r[gmax]) / delta[gmax] + 2.0
-    h[bmax] = (r[bmax] - g[bmax]) / delta[bmax] + 4.0
+    # piecewise hue, branchless: every element evaluates the same formula
+    # its masked-assignment equivalent would, so results are identical
+    # (the safe denominators only feed discarded lanes)
+    safe_delta = np.where(nz, delta, 1.0)
+    h = np.where(
+        rmax,
+        np.mod((g - b) / safe_delta, 6.0),
+        np.where(gmax, (b - r) / safe_delta + 2.0, (r - g) / safe_delta + 4.0),
+    )
+    h = np.where(nz, h, 0.0)
     h *= 60.0
-
-    s = np.zeros_like(maxc)
-    vs = maxc > 0
-    s[vs] = delta[vs] / maxc[vs]
-
+    s = np.where(maxc > 0, delta / np.where(maxc > 0, maxc, 1.0), 0.0)
     return np.stack([h, s, maxc], axis=-1)
 
 
@@ -130,9 +112,7 @@ def quantize_uniform(values: np.ndarray, levels: int, maximum: float = 255.0) ->
         raise ValueError("levels must be >= 1")
     arr = np.asarray(values, dtype=np.float64)
     idx = np.floor(arr * levels / (maximum + 1e-12)).astype(np.int64)
-    if accel.fast_paths_enabled():
-        return np.minimum(np.maximum(idx, 0), levels - 1)
-    return np.clip(idx, 0, levels - 1)
+    return np.minimum(np.maximum(idx, 0), levels - 1)
 
 
 def quantize_hsv(

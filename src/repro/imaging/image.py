@@ -70,11 +70,8 @@ class Image:
         it once per image removes the repeated conversion from the query
         hot path.  The memo is part of this value object, not shared state.
         """
-        from repro.imaging import accel
         from repro.imaging.color import rgb_to_gray
 
-        if not accel.fast_paths_enabled():
-            return rgb_to_gray(self.pixels)
         memo = self.__dict__.get("_gray_memo")
         if memo is None:
             memo = rgb_to_gray(self.pixels)

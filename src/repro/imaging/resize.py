@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.imaging import accel
 from repro.imaging.image import Image
 
 __all__ = ["nearest_indices", "resize", "resize_array"]
@@ -38,9 +37,7 @@ def resize_array(
     if interpolation == "nearest":
         rows = nearest_indices(src_h, height)
         cols = nearest_indices(src_w, width)
-        if accel.fast_paths_enabled():
-            return arr.take(rows, axis=0).take(cols, axis=1)
-        return arr[np.ix_(rows, cols)] if arr.ndim == 2 else arr[rows][:, cols]
+        return arr.take(rows, axis=0).take(cols, axis=1)
 
     # bilinear
     out_dtype = arr.dtype

@@ -11,18 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.imaging import accel
-
 __all__ = ["min_fuzziness_threshold", "otsu_threshold", "binarize"]
-
-
-def _cumulative_means(hist: np.ndarray):
-    """Cumulative counts and intensity sums from both ends."""
-    levels = np.arange(hist.size, dtype=np.float64)
-    w = hist.astype(np.float64)
-    cum_n = np.cumsum(w)
-    cum_s = np.cumsum(w * levels)
-    return levels, w, cum_n, cum_s
 
 
 def min_fuzziness_threshold(hist: np.ndarray) -> int:
@@ -43,43 +32,12 @@ def min_fuzziness_threshold(hist: np.ndarray) -> int:
     if first == last:
         return first
 
-    levels, w, cum_n, cum_s = _cumulative_means(hist)
+    levels = np.arange(hist.size, dtype=np.float64)
+    cum_n = np.cumsum(hist)  # cumulative counts and intensity sums
+    cum_s = np.cumsum(hist * levels)
     c = float(last - first)  # normalizer so memberships stay in [0.5, 1]
 
-    if accel.fast_paths_enabled():
-        return _min_fuzziness_vectorized(levels, w, cum_n, cum_s, total, first, last, c)
-
-    best_t, best_e = first, np.inf
-    for t in range(first, last):
-        n0 = cum_n[t]
-        n1 = total - n0
-        if n0 == 0 or n1 == 0:
-            continue
-        mu0 = cum_s[t] / n0
-        mu1 = (cum_s[-1] - cum_s[t]) / n1
-        # membership of level g to its class mean
-        mem = np.empty(hist.size)
-        mem[: t + 1] = 1.0 / (1.0 + np.abs(levels[: t + 1] - mu0) / c)
-        mem[t + 1 :] = 1.0 / (1.0 + np.abs(levels[t + 1 :] - mu1) / c)
-        mem = np.clip(mem, 1e-12, 1 - 1e-12)
-        entropy = -(mem * np.log(mem) + (1 - mem) * np.log(1 - mem))
-        e = float(np.dot(w, entropy))
-        if e < best_e:
-            best_e, best_t = e, t
-    return int(best_t)
-
-
-def _min_fuzziness_vectorized(
-    levels: np.ndarray,
-    w: np.ndarray,
-    cum_n: np.ndarray,
-    cum_s: np.ndarray,
-    total: float,
-    first: int,
-    last: int,
-    c: float,
-) -> int:
-    """All candidate thresholds in one pass; same first-minimum semantics."""
+    # every candidate threshold in one pass, keeping the first minimum
     ts = np.arange(first, last)
     n0 = cum_n[ts]
     n1 = total - n0
@@ -87,13 +45,13 @@ def _min_fuzziness_vectorized(
     mu0 = cum_s[ts] / np.where(n0 > 0, n0, 1.0)
     mu1 = (cum_s[-1] - cum_s[ts]) / np.where(n1 > 0, n1, 1.0)
     grid = levels[np.newaxis, :]
-    # select the class mean first, then evaluate the membership formula
-    # once -- identical per-element arithmetic, half the matrix work
+    # membership of level g to its class mean: select the mean first, then
+    # evaluate the membership formula once
     mu = np.where(grid <= ts[:, np.newaxis], mu0[:, np.newaxis], mu1[:, np.newaxis])
     mem = 1.0 / (1.0 + np.abs(grid - mu) / c)
     mem = np.clip(mem, 1e-12, 1 - 1e-12)
     entropy = -(mem * np.log(mem) + (1 - mem) * np.log(1 - mem))
-    e = entropy @ w
+    e = entropy @ hist
     e[~valid] = np.inf
     return int(ts[np.argmin(e)])
 

@@ -48,9 +48,6 @@ __all__ = ["AsyncCbvrServer", "make_async_server"]
 
 _log = log.get_logger(__name__)
 
-#: bodies larger than this are rejected before buffering (64 MiB)
-_MAX_BODY = 64 * 1024 * 1024
-
 _REASONS = {
     200: "OK",
     201: "Created",
@@ -240,8 +237,6 @@ class AsyncCbvrServer:
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
         length = parse_content_length(headers.get("content-length"))
-        if length > _MAX_BODY:
-            return None
         body = await reader.readexactly(length) if length else b""
         return method, target, headers, body
 

@@ -38,7 +38,6 @@ from repro.core.search import (
 )
 from repro.core.snapshots import init_worker_snapshot, open_snapshot_store
 from repro.core.store import FeatureStore
-from repro.imaging import accel
 from repro.imaging.image import Image
 from repro.indexing.rangefinder import RangeFinder
 from repro.indexing.tree import RangeIndex
@@ -337,10 +336,6 @@ class ShardedSearchEngine(SearchEngine):
             )
             return plan
 
-        # the scoring flags are resolved here, once, and shipped to every
-        # worker, so coordinator and shards pick the same distance kernel
-        plan.batched = self.config.batch_distances
-        plan.fast = accel.fast_paths_enabled()
         plan.candidate_arr = candidate_arr
         if candidate_arr is self._global_ids:
             owners = self._row_shard
@@ -359,9 +354,7 @@ class ShardedSearchEngine(SearchEngine):
                 send: Optional[List[int]] = None
             else:
                 send = [int(fid) for fid in ids]
-            payloads.append(
-                (s, (query_vectors, list(names), send, plan.batched, plan.fast))
-            )
+            payloads.append((s, (query_vectors, list(names), send)))
             positions[s] = pos
         plan.payloads = payloads
         plan.positions = positions
@@ -471,12 +464,8 @@ class ShardedSearchEngine(SearchEngine):
             if weights is None:
                 weights = {n: self.config.weight_of(n) for n in names}
             fused = CombinedScorer(FeatureWeights(weights)).fuse(per_feature)
-        if plan.fast:
-            order = _stable_topk(fused, max(0, plan.top_k))
-        else:
-            order = np.argsort(fused, kind="stable")[: max(0, plan.top_k)]
         hits = []
-        for i in order:
+        for i in _stable_topk(fused, max(0, plan.top_k)):
             record = self.store.get(int(candidate_arr[i]))
             hits.append(
                 RetrievalResult(
@@ -536,9 +525,8 @@ class ShardedSearchEngine(SearchEngine):
         if not self.store.video_ids():
             return []
 
-        batched = self.config.batch_distances
         payloads = [
-            (s, (self._paths[s], query_seq, list(names), batched))
+            (s, (self._paths[s], query_seq, list(names)))
             for s in range(self.n_shards)
             if self._shard_frame_ids[s].size
         ]

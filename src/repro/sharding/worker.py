@@ -238,18 +238,14 @@ def score_vectors_shard(
     query_vectors: Dict[str, FeatureVector],
     names: Sequence[str],
     candidate_ids: Optional[Sequence[int]],
-    batched: bool,
-    fast: bool,
     obs_ctx: Optional[Mapping[str, object]] = None,
 ) -> ShardReply:
     """Raw per-feature distances for this shard's slice of the candidates.
 
-    Mirrors ``SearchEngine._score_plan`` branch for branch (the
-    ``batched``/``fast`` flags are computed coordinator-side and passed
-    in, so both processes pick the same kernel): prepared-stack scoring,
-    the reference batched path, or the scalar per-record loop.
-    ``candidate_ids=None`` means every frame of the partition -- the
-    common case, which skips the row gather entirely.
+    Mirrors ``SearchEngine._score_plan``: one ``batch_distance_prepared``
+    call per feature over the partition's cached prepared stack, gathered
+    to the candidate rows.  ``candidate_ids=None`` means every frame of
+    the partition -- the common case, which skips the row gather entirely.
     """
     ctx = obs_ctx or {}
     sampled = bool(ctx.get("sampled"))
@@ -260,15 +256,13 @@ def score_vectors_shard(
     if sampled:
         with capture_subtree("shard.score_vectors", ctx, shard=shard) as root:
             per_feature, n_rows = _score_vectors(
-                path, query_vectors, names, candidate_ids, batched, fast,
-                metrics, sampled,
+                path, query_vectors, names, candidate_ids, metrics, sampled
             )
             root.annotate(rows=n_rows)
         span_dict = root.to_dict()
     else:
         per_feature, n_rows = _score_vectors(
-            path, query_vectors, names, candidate_ids, batched, fast,
-            metrics, sampled,
+            path, query_vectors, names, candidate_ids, metrics, sampled
         )
     elapsed = time.perf_counter() - t0
     metrics.queries.labels(kind="vectors").inc()
@@ -288,49 +282,32 @@ def _score_vectors(
     query_vectors: Dict[str, FeatureVector],
     names: Sequence[str],
     candidate_ids: Optional[Sequence[int]],
-    batched: bool,
-    fast: bool,
     metrics,
     sampled: bool,
 ) -> Tuple[Dict[str, np.ndarray], int]:
     state = _shard_state(path, metrics)
     store = state.store
-    shard_full = candidate_ids is None
-    if shard_full:
-        candidate_ids = store.frame_ids()
+    if candidate_ids is None:
+        rows: Optional[np.ndarray] = None
+        n_rows = len(store)
     else:
-        candidate_ids = list(candidate_ids)
-    prepared_scoring = batched and fast
-    records: Optional[List[FrameRecord]] = None
-    rows: Optional[np.ndarray] = None
-    if not batched or not fast:
-        records = [store.get(fid) for fid in candidate_ids]
-    elif prepared_scoring and not shard_full:
         rows = store.matrix_rows(candidate_ids)
+        n_rows = int(rows.size)
     per_feature: Dict[str, np.ndarray] = {}
     for name in names:
         extractor = state.extractor(name)
-        qv = query_vectors[name]
         t_dist = time.perf_counter()
         with _span(sampled, "shard.distance", feature=name):
-            if prepared_scoring:
-                prepared = store.prepared_matrix(name, extractor)
-                if rows is not None:
-                    prepared = prepared[rows]
-                per_feature[name] = extractor.batch_distance_prepared(qv, prepared)
-            elif batched:
-                matrix = store.feature_matrix(
-                    name, None if shard_full else candidate_ids
-                )
-                per_feature[name] = extractor.batch_distance(qv, matrix)
-            else:
-                per_feature[name] = np.array(
-                    [extractor.distance(qv, rec.features[name]) for rec in records]
-                )
+            prepared = store.prepared_matrix(name, extractor)
+            if rows is not None:
+                prepared = prepared[rows]
+            per_feature[name] = extractor.batch_distance_prepared(
+                query_vectors[name], prepared
+            )
         metrics.distance_seconds.labels(feature=name).observe(
             time.perf_counter() - t_dist
         )
-    return per_feature, len(candidate_ids)
+    return per_feature, n_rows
 
 
 def score_vectors_shard_batch(
@@ -340,9 +317,9 @@ def score_vectors_shard_batch(
 ) -> ShardReply:
     """Raw distances for several micro-batched queries, one round trip.
 
-    ``queries`` holds one ``(query_vectors, names, candidate_ids,
-    batched, fast)`` tuple per batched request; the reply's value is the
-    list of per-feature distance dicts in the same order.  Each query
+    ``queries`` holds one ``(query_vectors, names, candidate_ids)`` tuple
+    per batched request; the reply's value is the list of per-feature
+    distance dicts in the same order.  Each query
     runs through the *identical* single-query scoring code
     (:func:`_score_vectors`) -- the batch collapses per-request IPC, it
     never stacks query vectors into one multi-query kernel, so every
@@ -358,10 +335,9 @@ def score_vectors_shard_batch(
     def run() -> Tuple[List[Dict[str, np.ndarray]], int]:
         values: List[Dict[str, np.ndarray]] = []
         total = 0
-        for query_vectors, names, candidate_ids, batched, fast in queries:
+        for query_vectors, names, candidate_ids in queries:
             per_feature, n_rows = _score_vectors(
-                path, query_vectors, names, candidate_ids, batched, fast,
-                metrics, sampled,
+                path, query_vectors, names, candidate_ids, metrics, sampled
             )
             values.append(per_feature)
             total += n_rows
@@ -394,7 +370,6 @@ def score_video_shard(
     path: str,
     query_seq: Sequence[Dict[str, FeatureVector]],
     names: Sequence[str],
-    batched: bool,
     obs_ctx: Optional[Mapping[str, object]] = None,
 ) -> ShardReply:
     """Per-feature (n_query x n_shard_frames) raw distance blocks.
@@ -415,13 +390,13 @@ def score_video_shard(
     if sampled:
         with capture_subtree("shard.score_video", ctx, shard=shard) as root:
             blocks, video_ids, n_rows = _score_video(
-                path, query_seq, names, batched, metrics, sampled
+                path, query_seq, names, metrics, sampled
             )
             root.annotate(rows=n_rows, videos=len(video_ids))
         span_dict = root.to_dict()
     else:
         blocks, video_ids, n_rows = _score_video(
-            path, query_seq, names, batched, metrics, sampled
+            path, query_seq, names, metrics, sampled
         )
     elapsed = time.perf_counter() - t0
     metrics.queries.labels(kind="video").inc()
@@ -440,7 +415,6 @@ def _score_video(
     path: str,
     query_seq: Sequence[Dict[str, FeatureVector]],
     names: Sequence[str],
-    batched: bool,
     metrics,
     sampled: bool,
 ) -> Tuple[Dict[str, np.ndarray], List[int], int]:
@@ -452,20 +426,20 @@ def _score_video(
         all_records.extend(store.frames_of_video(video_id))
     nq, nr = len(query_seq), len(all_records)
     record_ids = [rec.frame_id for rec in all_records]
+    # the stacks hold frames in id order; only ids interleaved across
+    # videos pay a gather
+    rows = None if record_ids == store.frame_ids() else store.matrix_rows(record_ids)
     blocks: Dict[str, np.ndarray] = {}
     for name in names:
         extractor = state.extractor(name)
         t_dist = time.perf_counter()
         with _span(sampled, "shard.distance", feature=name):
+            prepared = store.prepared_matrix(name, extractor)
+            if rows is not None:
+                prepared = prepared[rows]
             m = np.empty((nq, nr))
-            if batched:
-                matrix = store.feature_matrix(name, record_ids)
-                for i, qf in enumerate(query_seq):
-                    m[i, :] = extractor.batch_distance(qf[name], matrix)
-            else:
-                for i, qf in enumerate(query_seq):
-                    for j, rec in enumerate(all_records):
-                        m[i, j] = extractor.distance(qf[name], rec.features[name])
+            for i, qf in enumerate(query_seq):
+                m[i, :] = extractor.batch_distance_prepared(qf[name], prepared)
             blocks[name] = m
         metrics.distance_seconds.labels(feature=name).observe(
             time.perf_counter() - t_dist

@@ -24,11 +24,15 @@ from repro.video.codec import RvfError, RvfReader
 __all__ = [
     "CbvrApi",
     "ApiError",
+    "MAX_BODY",
     "error_response_for",
     "parse_content_length",
     "parse_search_request",
     "search_payload",
 ]
+
+#: request bodies declared larger than this are refused with 413 (64 MiB)
+MAX_BODY = 64 * 1024 * 1024
 
 #: Prometheus text exposition content type
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -123,16 +127,20 @@ def parse_content_length(value: Optional[str]) -> int:
     """The body length a ``Content-Length`` header declares (0 when absent).
 
     Shared by the blocking and asyncio front-ends.  Anything but a plain
-    non-negative decimal raises :class:`ApiError` (400), so the client is
-    answered rather than dropped.
+    non-negative decimal raises :class:`ApiError` (400) and a length over
+    :data:`MAX_BODY` raises 413, before any body byte is read, so the
+    client is answered rather than dropped or left waiting.
     """
     text = (value or "").strip()
     if not text:
         return 0
-    # 19 digits keep int() clear of its digit limit; any real cap is smaller
+    # 19 digits keep int() clear of its digit limit; the cap is far smaller
     if not (text.isascii() and text.isdigit()) or len(text) > 19:
         raise ApiError(400, "malformed Content-Length header")
-    return int(text)
+    length = int(text)
+    if length > MAX_BODY:
+        raise ApiError(413, f"Content-Length {length} exceeds the {MAX_BODY}-byte limit")
+    return length
 
 
 def parse_search_request(body: bytes, query: Dict[str, str]):

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.ndimage as ndi
 
 from repro.features.regions import (
     RegionGrowingResult,
@@ -61,6 +60,7 @@ class TestLabelRegions:
 
     def test_matches_scipy_label_counts(self):
         """Cross-check against scipy.ndimage.label on random masks."""
+        ndi = pytest.importorskip("scipy.ndimage")
         gen = np.random.default_rng(42)
         structure = np.ones((3, 3))  # 8-connectivity
         for _ in range(5):

@@ -1,8 +1,9 @@
 """The runtime layer's pipeline guarantees.
 
 Serial and parallel ingest must be indistinguishable byte-for-byte;
-batched and scalar scoring must agree for every registered extractor; the
-store's stacked-matrix cache must never serve stale data.
+batched, prepared and scalar scoring must agree for every registered
+extractor, and production rankings with the scalar oracle; the store's
+stacked-matrix cache must never serve stale data.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ from repro.core.system import VideoRetrievalSystem
 from repro.features.base import all_extractors, get_extractor
 from repro.imaging.image import Image
 from repro.video.generator import VideoSpec, generate_video, make_corpus
+from tests.core import oracles
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +86,14 @@ class TestBatchedVsScalarDistances:
         scalar = np.array([extractor.distance(query, v) for v in rest])
         assert batched.shape == scalar.shape
         np.testing.assert_allclose(batched, scalar, atol=1e-9, rtol=0)
+        # preparation commutes with row gathers: prepared-then-gathered
+        # rows score exactly like the raw rows scored per call
+        order = [2, 0, 3]
+        gathered = extractor.prepare_matrix(matrix)[order]
+        assert np.array_equal(
+            extractor.batch_distance_prepared(query, gathered),
+            extractor.batch_distance(query, matrix[order]),
+        )
 
     def test_kind_mismatch_rejected(self, vectors):
         extractor = get_extractor("sch")
@@ -169,36 +179,51 @@ class TestFeatureMatrixCache:
 
 
 class TestBatchedVsScalarSearch:
-    @pytest.fixture(scope="class")
-    def pair(self, tiny_corpus):
-        batched = _ingest_all(SystemConfig(batch_distances=True), tiny_corpus)
-        scalar = _ingest_all(SystemConfig(batch_distances=False), tiny_corpus)
-        yield batched, scalar
-        batched.close()
-        scalar.close()
+    """Production rankings against the scalar per-record oracle."""
 
-    def test_query_frame_identical_rankings(self, pair, tiny_corpus):
-        batched, scalar = pair
+    @pytest.fixture(scope="class")
+    def system(self, tiny_corpus):
+        system = _ingest_all(SystemConfig(), tiny_corpus)
+        yield system
+        system.close()
+
+    def test_query_frame_identical_rankings(self, system, tiny_corpus):
+        engine = system._engine
         query = tiny_corpus[0].frames[2]
-        hits_b = batched.search(query, top_k=10, use_index=False)
-        hits_s = scalar.search(query, top_k=10, use_index=False)
-        assert [h.frame_id for h in hits_b] == [h.frame_id for h in hits_s]
+        hits = system.search(query, top_k=10, use_index=False)
+        vectors = {n: engine.extractors[n].extract(query) for n in system.config.features}
+        expected = oracles.scalar_ranking(engine, vectors, top_k=10)
+        assert [h.frame_id for h in hits] == [r[0] for r in expected]
         np.testing.assert_allclose(
-            [h.distance for h in hits_b], [h.distance for h in hits_s], atol=1e-9
+            [h.distance for h in hits], [r[1] for r in expected], atol=1e-9
         )
 
-    def test_query_video_identical_rankings(self, pair):
-        batched, scalar = pair
+    def test_query_video_identical_rankings(self, system):
         clip = generate_video(
             VideoSpec(category="news", seed=321, n_shots=2, frames_per_shot=4)
         )
-        matches_b = batched.search_by_video(clip, top_k=5)
-        matches_s = scalar.search_by_video(clip, top_k=5)
-        assert [m.video_id for m in matches_b] == [m.video_id for m in matches_s]
+        matches = system.search_by_video(clip, top_k=5)
+        expected = oracles.scalar_video_ranking(system._engine, list(clip.frames), top_k=5)
+        assert [m.video_id for m in matches] == [r[0] for r in expected]
         np.testing.assert_allclose(
-            [m.distance for m in matches_b],
-            [m.distance for m in matches_s],
-            atol=1e-9,
+            [m.distance for m in matches], [r[1] for r in expected], atol=1e-9
+        )
+
+    def test_query_video_interleaved_ids(self, system):
+        # frame ids that interleave videos make the clip query gather
+        # its stacks instead of scoring them in id order
+        from repro.core.search import SearchEngine
+
+        store = oracles.interleaved_store(system._store)
+        engine = SearchEngine(system.config, store, system._index)
+        clip = generate_video(
+            VideoSpec(category="news", seed=321, n_shots=2, frames_per_shot=4)
+        )
+        matches = engine.query_video(clip, top_k=5)
+        expected = oracles.scalar_video_ranking(engine, list(clip.frames), top_k=5)
+        assert [m.video_id for m in matches] == [r[0] for r in expected]
+        np.testing.assert_allclose(
+            [m.distance for m in matches], [r[1] for r in expected], atol=1e-9
         )
 
 

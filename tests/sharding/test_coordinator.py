@@ -129,6 +129,31 @@ class TestVideoQueries:
         ]
 
 
+    def test_video_ranking_identical_with_interleaved_ids(
+        self, ingested_system, small_corpus, tmp_path
+    ):
+        # frame ids dealt round-robin across videos: solo engine and shard
+        # workers both take their gather branch
+        from repro.core.search import SearchEngine
+        from tests.core.oracles import interleaved_store
+
+        store = interleaved_store(ingested_system.feature_store)
+        solo = SearchEngine(ingested_system.config, store, ingested_system._index)
+        split_store(store, str(tmp_path), 4)
+        _, paths = read_manifest(str(tmp_path))
+        engine = ShardedSearchEngine(ingested_system.config, paths)
+        try:
+            clip = small_corpus[4]
+            base = solo.query_video(clip, top_k=6)
+            sharded = engine.query_video(clip, top_k=6)
+            assert [(m.video_id, m.distance) for m in sharded] == [
+                (m.video_id, m.distance) for m in base
+            ]
+        finally:
+            engine.close()
+            solo.close()
+
+
 class TestTieOrdering:
     def test_exact_cross_shard_ties_rank_identically(self, tmp_path):
         # four byte-identical videos under distinct ids: every distance is

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import SystemConfig
+from repro.core.feedback import FeedbackSession
 from repro.core.snapshots import SnapshotRequiredError
 from repro.core.system import VideoRetrievalSystem
 from repro.video.generator import VideoSpec, generate_video
@@ -88,15 +89,26 @@ class TestMmapServing:
         via_snap.close()
         via_sql.close()
 
-    def test_scalar_path_reads_lazy_features(self, library):
+    def test_feedback_reads_lazy_features(self, library):
+        # refine() reads record.features, which snapshot-backed records
+        # materialize lazily from the mmap rows
         lib, query = library
-        config = SystemConfig(batch_distances=False, query_cache_size=0)
+        config = SystemConfig(query_cache_size=0)
         via_snap = VideoRetrievalSystem.open(lib, config)
         via_sql = VideoRetrievalSystem.open(
-            lib, SystemConfig(snapshot="off", batch_distances=False,
-                              query_cache_size=0))
+            lib, SystemConfig(snapshot="off", query_cache_size=0))
         assert via_snap.snapshots.served_from == "mmap"
-        assert _ranking(via_snap, query) == _ranking(via_sql, query)
+        fid = via_snap._store.frame_ids()[0]
+        assert type(via_snap._store.get(fid).features).__name__ == "_FrameFeatures"
+        rankings = []
+        for system in (via_snap, via_sql):
+            session = FeedbackSession(system, query)
+            first = session.search(top_k=10)
+            session.mark_relevant(first[0].frame_id, first[2].frame_id)
+            session.mark_irrelevant(first[1].frame_id)
+            refined = session.refine(top_k=10)
+            rankings.append([(h.frame_id, h.distance) for h in refined])
+        assert rankings[0] == rankings[1]
         via_snap.close()
         via_sql.close()
 

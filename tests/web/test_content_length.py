@@ -1,9 +1,10 @@
-"""A malformed ``Content-Length`` gets a 400 from both live front-ends.
+"""A malformed ``Content-Length`` gets a 400, an oversized one a 413.
 
 The header decides how many body bytes follow, so a value that is not a
-plain non-negative decimal cannot be framed: the server answers 400 with
-the JSON error envelope and closes that connection, and the next client
-is served as usual.
+plain non-negative decimal cannot be framed, and one over the body cap
+is never buffered: either way both live front-ends answer with the JSON
+error envelope and close that connection, and the next client is served
+as usual.
 """
 
 from __future__ import annotations
@@ -17,10 +18,12 @@ import pytest
 from repro.core.config import SystemConfig
 from repro.core.system import VideoRetrievalSystem
 from repro.serving import make_async_server
-from repro.web.api import ApiError, parse_content_length
+from repro.web.api import MAX_BODY, ApiError, parse_content_length
 from repro.web.server import make_server
 
 BAD_VALUES = ["abc", "-1", "+5", "1.5", "0x10", "12 34", "²"]
+#: well-formed lengths over the cap: the 19-digit maximum, 70 MB, cap + 1
+OVERSIZED = ["9" * 19, str(70 * 1000 * 1000), str(MAX_BODY + 1)]
 
 
 @pytest.fixture(scope="module")
@@ -72,15 +75,12 @@ def _parse(raw: bytes):
     return int(lines[0].split(" ")[1]), headers, body
 
 
-@pytest.mark.parametrize("front", ["blocking_addr", "async_addr"])
-@pytest.mark.parametrize("value", BAD_VALUES)
-def test_malformed_content_length_is_400_then_healthy(request, front, value):
-    addr = request.getfixturevalue(front)
+def _assert_refused_then_healthy(addr, value, status_expected):
     raw = _exchange(
         addr, f"POST /search HTTP/1.1\r\nHost: x\r\nContent-Length: {value}\r\n\r\n"
     )
     status, headers, body = _parse(raw)
-    assert status == 400
+    assert status == status_expected
     assert headers["connection"] == "close"
     payload = json.loads(body[: int(headers["content-length"])])
     assert payload["error_type"] == "api_error"
@@ -93,6 +93,18 @@ def test_malformed_content_length_is_400_then_healthy(request, front, value):
     assert len(json.loads(body)["videos"]) == 1
 
 
+@pytest.mark.parametrize("front", ["blocking_addr", "async_addr"])
+@pytest.mark.parametrize("value", BAD_VALUES)
+def test_malformed_content_length_is_400_then_healthy(request, front, value):
+    _assert_refused_then_healthy(request.getfixturevalue(front), value, 400)
+
+
+@pytest.mark.parametrize("front", ["blocking_addr", "async_addr"])
+@pytest.mark.parametrize("value", OVERSIZED)
+def test_oversized_content_length_is_413_then_healthy(request, front, value):
+    _assert_refused_then_healthy(request.getfixturevalue(front), value, 413)
+
+
 @pytest.mark.parametrize("value,expected", [(None, 0), ("", 0), (" 12 ", 12), ("0", 0)])
 def test_parse_content_length_accepts_plain_decimals(value, expected):
     assert parse_content_length(value) == expected
@@ -103,3 +115,11 @@ def test_parse_content_length_rejects_the_rest(value):
     with pytest.raises(ApiError) as info:
         parse_content_length(value)
     assert info.value.status == 400
+
+
+def test_parse_content_length_caps_the_body():
+    assert parse_content_length(str(MAX_BODY)) == MAX_BODY
+    for value in OVERSIZED:
+        with pytest.raises(ApiError) as info:
+            parse_content_length(value)
+        assert info.value.status == 413
